@@ -1,11 +1,12 @@
 """Command-line front end: Riley polynomial evaluation, root dumps, volumes,
 volume curves, alpha_K, and the built-in cross-validation checks.
 
-Outputs are deterministic for fixed inputs and version; results of the
+Outputs are deterministic for fixed inputs and sources; results of the
 compute commands are cached on disk (JSON files keyed by a hash of command,
-canonicalized arguments, and artifact version).  DTVOL_CACHE_DIR overrides
-the cache location.  Exit codes: 0 ok, 2 usage, 3 non-hyperbolic,
-4 numerical failure.
+canonicalized arguments, artifact version and the package's module sources,
+so results of other code are never replayed).  DTVOL_CACHE_DIR overrides the
+cache location.  Exit codes: 0 ok, 2 usage, 3 non-hyperbolic, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import click
@@ -38,6 +40,7 @@ from .volume import (
     QuadratureNotConvergedError,
     branch_csv_rows,
     cone_volume,
+    seed_angle,
     volume_curve,
 )
 from .words import KnotParam, TwoBridgeParams, jk_word, twobridge_word
@@ -87,9 +90,24 @@ def _cache_dir() -> Path:
     return base
 
 
+@lru_cache(maxsize=1)
+def _source_fingerprint() -> str:
+    """sha256 over the package's module sources, read once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_key(command: str, params: dict) -> str:
     canon = json.dumps(
-        {"command": command, "params": params, "version": __version__},
+        {
+            "command": command,
+            "params": params,
+            "version": __version__,
+            "source": _source_fingerprint(),
+        },
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -285,11 +303,12 @@ def volume(k: int, n: int, alpha: float, tol: float, curve_path: str | None, sam
     }
 
     def compute():
-        result = cone_volume(knot, alpha, tol)
+        # the headline volume and the curve share one branch
+        branch = geometric_branch(knot, seed_angle(alpha)) if curve_path else None
+        result = cone_volume(knot, alpha, tol, branch=branch)
         files = {}
         if curve_path:
             alphas = list(np.linspace(max(alpha, 1e-4), math.pi, samples))
-            branch = geometric_branch(knot, max(min(alphas[0], 0.1), 1e-4))
             curve = [
                 cone_volume(knot, a, tol, branch=branch) for a in alphas
             ]

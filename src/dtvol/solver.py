@@ -8,9 +8,10 @@ adaptive step halving (the corrector is Newton on the structured closed-form
 evaluation of Phi, which keeps full accuracy inside root clusters where the
 expanded coefficients do not).  The cone angle at which the branch lands on
 the real axis is the Euclidean angle alpha_K: the landing is a square-root
-collision of the root with its conjugate, so it is located by following
-Im(z)^2 (smooth and linear in omega across the collision) and bisecting the
-realness predicate.  Above alpha_K all characters on the branch are real and
+collision of the root with its conjugate, i.e. a fold Phi = dPhi/dz = 0 at
+real (z, omega), which is solved for directly by Newton on that 2x2 real
+system once the secant of Im(z)^2 (linear in omega across the collision)
+reaches the axis.  Above alpha_K all characters on the branch are real and
 tracking reduces to following the nearest real root.
 """
 
@@ -29,10 +30,9 @@ from .zpoly import ZPoly
 
 DEFAULT_STEP = 0.005
 MIN_STEP = 1e-6
-ALPHAK_BISECT_TOL = 1e-10
 REAL_IM_TOL = 1e-9  # |Im z| below this counts as a real character
 BACKWARD_ERROR_TOL = 1e-10
-_CROSSING_IM_WINDOW = 0.02  # |Im z| below this arms the collision locator
+_CROSSING_IM_WINDOW = 0.02  # |Im z| below this arms the fold solve
 
 
 class NonHyperbolicError(ValueError):
@@ -421,16 +421,13 @@ class _Tracker:
         return r
 
 
-_STRUCT_REAL_TOL = 1e-7  # |Im z| below this after structured Newton = landed
-
-
 def _struct_root(
     knot: KnotParam, omega: float, z0: complex, max_iter: int = 24
 ) -> tuple[complex, bool]:
     """Scalar Newton on the structured evaluation of Phi from the guess z0.
 
     Converges when the step reaches relative 1e-13 or |Phi| reaches its
-    evaluation roundoff floor (which is how near-double roots at the
+    evaluation roundoff floor (which is how near-double roots close to the
     real-axis landing terminate)."""
     from .riley import riley_phi_dphi_scalar
 
@@ -454,79 +451,36 @@ def _struct_root(
     return z, False
 
 
-def _struct_landing_bisect(
-    knot: KnotParam, omega_lo: float, z_lo: complex, omega_hi: float
-) -> tuple[float, complex, complex]:
-    """Bisect the real-axis landing of the structured-tracked root.
+def _fold_point(knot: KnotParam, omega: float, x: float) -> tuple[float, float] | None:
+    """The fold Phi = dPhi/dz = 0 near (omega, x), with x real.
 
-    Pre: the continued root is real (|Im| < tol) at omega_hi, nonreal at
-    omega_lo.  Returns (alpha, last complex z below, real z above)."""
-    z_cur = z_lo
-    scale = 1.0 + abs(z_lo)
-    sgn = 1.0 if z_lo.imag > 0 else -1.0  # the branch keeps its Im sign below
-    z_hi_real = None
-    while omega_hi - omega_lo > ALPHAK_BISECT_TOL:
-        mid = 0.5 * (omega_lo + omega_hi)
-        zm, ok = _struct_root(knot, mid, z_cur)
-        if not ok:
-            zm = z_cur  # treat as still complex; shrink from above
-        if abs(zm.imag) <= _STRUCT_REAL_TOL * scale:
-            omega_hi = mid
-            z_hi_real = zm
-        else:
-            if zm.imag * sgn < 0:
-                zm = zm.conjugate()
-            omega_lo = mid
-            z_cur = zm
-    if z_hi_real is None:
-        z_hi_real, _ = _struct_root(knot, omega_hi, z_cur)
-    return 0.5 * (omega_lo + omega_hi), z_cur, _snap_real(z_hi_real)
+    At the landing the tracked root meets its conjugate in a double real
+    root.  Phi(e^{i omega/2}, x) is real for real (omega, x) (M enters only
+    through M^2 + M^-2 = 2 cos omega), so the fold is a regular root of a
+    real 2x2 system in (x, omega), solved by Newton with a forward-difference
+    Jacobian.  Returns (omega, x), or None when Newton does not converge."""
+    from .riley import riley_phi_dphi_scalar
 
+    def residual(om: float, xr: float) -> tuple[float, float]:
+        M = omega_to_M(om)
+        phi, dphi, _ = riley_phi_dphi_scalar(knot.k, knot.n, M, complex(xr))
+        return phi.real, dphi.real
 
-def _struct_locate_landing(
-    knot: KnotParam, omega0: float, z0: complex, omega_cap: float
-) -> tuple[float, complex] | None:
-    """Follow the conjugate pair onto the real axis from (omega0, z0).
-
-    Im(z)^2 is approximately linear in omega across the square-root
-    collision, so secant steps with a slight overshoot bracket the landing
-    in a few evaluations.  Returns (alpha, real z above) or None when the
-    pair is not landing (a kiss: Im^2 rebounds)."""
-    scale = 1.0 + abs(z0)
-    sgn = 1.0 if z0.imag > 0 else -1.0
-    om, z = omega0, z0
-    im2 = z.imag * z.imag
-    prev: tuple[float, float] | None = None
-    h = max(1e-4, 8 * ALPHAK_BISECT_TOL)
-    rebounds = 0
-    for _ in range(80):
-        if prev is not None:
-            d_om = om - prev[0]
-            d_im2 = im2 - prev[1]
-            if d_im2 < 0 and d_om > 0:
-                dist = -im2 * d_om / d_im2
-                h = max(1.3 * dist, 8 * ALPHAK_BISECT_TOL)
-            else:
-                rebounds += 1
-                if rebounds >= 3:
-                    return None
-                h *= 2.0
-        om_try = min(om + h, omega_cap)
-        if om_try <= om:
+    for _ in range(12):
+        hx, hw = 1e-7 * (1.0 + abs(x)), 1e-7
+        f0, f1 = residual(omega, x)
+        a0, a1 = residual(omega, x + hx)
+        b0, b1 = residual(omega + hw, x)
+        j00, j10 = (a0 - f0) / hx, (a1 - f1) / hx
+        j01, j11 = (b0 - f0) / hw, (b1 - f1) / hw
+        det = j00 * j11 - j01 * j10
+        if det == 0.0 or not math.isfinite(det):
             return None
-        zm, ok = _struct_root(knot, om_try, z)
-        if not ok:
-            return None
-        if abs(zm.imag) <= _STRUCT_REAL_TOL * scale:
-            alpha, z_below, z_above = _struct_landing_bisect(knot, om, z, om_try)
-            return alpha, z_above
-        if zm.imag * sgn < 0:
-            zm = zm.conjugate()
-        prev = (om, im2)
-        om, z = om_try, zm
-        im2 = z.imag * z.imag
-        if om >= omega_cap:
-            return None
+        dx = (j01 * f1 - j11 * f0) / det
+        dw = (j10 * f0 - j00 * f1) / det
+        x, omega = x + dx, omega + dw
+        if abs(dw) <= 1e-10 and abs(dx) <= 1e-10 * (1.0 + abs(x)):
+            return float(omega), float(x)
     return None
 
 
@@ -536,15 +490,17 @@ def _track_complex(
     z0: complex,
     step: float,
     emit,
-) -> tuple[float, float, complex] | None:
+) -> tuple[float, float] | None:
     """March the nonreal branch from (omega0, z0) toward pi, emitting samples.
 
     Predictor-corrector: linear extrapolation from the last two samples,
     corrected by Newton on the structured evaluation of Phi (the expanded
     coefficients lose the roots inside large-degree clusters, the structured
     form does not).  A corrected point far from its prediction means the
-    Newton basin changed, so the step is halved.  The real-axis landing is
-    located exactly and returned as (alpha_K, omega_resume, z_real); None
+    Newton basin changed, so the step is halved.  Close to the real axis,
+    Im(z)^2 is linear in omega across the square-root collision; when its
+    secant reaches 0 within the step, or the corrector fails there, the
+    landing is solved for as a fold and returned as (alpha_K, real z).  None
     means the branch stayed nonreal all the way to pi."""
     om, z = omega0, z0
     om_prev: float | None = None
@@ -554,13 +510,23 @@ def _track_complex(
         om_try = min(om + h, math.pi)
         dom = om_try - om
         scale = 1.0 + abs(z)
+        near_axis = abs(z.imag) < _CROSSING_IM_WINDOW * scale
+        om_cross = None  # where the Im(z)^2 secant reaches 0
         if om_prev is not None and om > om_prev:
             slope = (z - z_prev) / (om - om_prev)
             pred = z + slope * dom
             tol_move = max(5.0 * abs(slope) * dom, 2e-3 * scale)
+            d_im2 = z.imag * z.imag - z_prev.imag * z_prev.imag
+            if d_im2 < 0:
+                om_cross = om - z.imag * z.imag * (om - om_prev) / d_im2
         else:
             pred = z
             tol_move = 0.05 * scale
+        crossing = near_axis and om_cross is not None and om_cross <= om_try
+        if crossing:
+            fold = _fold_point(knot, om_cross, (z + slope * (om_cross - om)).real)
+            if fold is not None and om < fold[0] <= om_try:
+                return fold
         z_new, ok = _struct_root(knot, om_try, pred)
         if ok and z.imag != 0 and z_new.imag * z.imag < 0:
             # real coefficients: the conjugate is also a root; off the axis
@@ -568,22 +534,23 @@ def _track_complex(
             z_conj = z_new.conjugate()
             if abs(z_conj - pred) <= abs(z_new - pred):
                 z_new = z_conj
-        if ok and abs(z_new - pred) <= tol_move:
-            if abs(z_new.imag) <= _STRUCT_REAL_TOL * scale:
-                alpha, _, z_above = _struct_landing_bisect(knot, om, z, om_try)
-                return alpha, alpha, z_above
-            if z_new.imag * z.imag > 0 or imcond_value(knot, z_new) <= REAL_IM_TOL:
-                om_prev, z_prev = om, z
-                om, z = om_try, z_new
-                emit(om, z)
-                h = min(step, 1.6 * h)
-                continue
+        # a corrected point on the real axis has passed the landing
+        if (
+            ok
+            and abs(z_new - pred) <= tol_move
+            and abs(z_new.imag) > REAL_IM_TOL * scale
+            and (z_new.imag * z.imag > 0 or imcond_value(knot, z_new) <= REAL_IM_TOL)
+        ):
+            om_prev, z_prev = om, z
+            om, z = om_try, z_new
+            emit(om, z)
+            h = min(step, 1.6 * h)
+            continue
         # trouble: corrector jumped basins, diverged, or flipped branches
-        if abs(z.imag) < _CROSSING_IM_WINDOW * scale:
-            found = _struct_locate_landing(knot, om, z, math.pi)
-            if found is not None:
-                alpha, z_above = found
-                return alpha, alpha, z_above
+        if near_axis and not crossing:
+            fold = _fold_point(knot, om_try, pred.real)
+            if fold is not None and om < fold[0] <= om_try:
+                return fold
         if h > MIN_STEP:
             h = max(0.25 * h, MIN_STEP)
             continue
@@ -622,7 +589,7 @@ def _track_real(
     landing below was a kiss, not the Euclidean transition)."""
     knot = tracker.knot
     om, z = omega0, z0
-    h = max(step / 16.0, 4 * ALPHAK_BISECT_TOL)
+    h = step / 16.0
     while om < math.pi - 1e-12:
         om_try = min(om + h, math.pi)
         roots = tracker.roots(om_try)
@@ -637,7 +604,8 @@ def _track_real(
                 h = 0.5 * h
                 continue
             # verify against the structured evaluation before believing a
-            # liftoff seen in the (noisier) expanded root set
+            # liftoff seen in the (noisier) expanded root set; one that does
+            # not verify is believed only when no real root is left to follow
             z_cand = _liftoff_pick(knot, roots, zn)
             z_ver, ok = _struct_root(knot, om_try, z_cand)
             if ok and abs(z_ver.imag) > 1e-6 * scale:
@@ -649,7 +617,8 @@ def _track_real(
                 emit(om, z)
                 h = min(step, 1.5 * h)
                 continue
-            return om_try, z_cand
+            if zr is None:
+                return om_try, z_cand
         om, z = om_try, _snap_real(zr)
         emit(om, z)
         h = min(step, 1.5 * h)
@@ -772,7 +741,9 @@ def geometric_branch(
             if landing is None:
                 alpha_K = None
                 break
-            alpha_K, om_cur, z_cur = landing
+            alpha_K, x = landing
+            om_cur, z_cur = alpha_K, complex(x, 0.0)
+            emit(om_cur, z_cur)
         else:
             lift = _track_real(tracker, om_cur, z_cur, step, emit)
             if lift is None:

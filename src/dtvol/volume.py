@@ -2,9 +2,13 @@
 
 Vol(alpha) = integral over [alpha, pi] of log|L|, where L is the longitude
 eigenvalue evaluated along the geometric branch and log|L| vanishes
-identically on [alpha_K, pi] (real characters there force |L| = 1).  The
-integral is evaluated by adaptive Gauss-Kronrod panels on [alpha, alpha_K];
-an adaptive Simpson rule is available as an independent cross-check.
+identically on [alpha_K, pi] (real characters there force |L| = 1).  Below
+alpha_K, log|L| grows like sqrt(alpha_K - omega) (the branch leaves the real
+axis in a square-root fold), so the integral is taken in u = sqrt(alpha_K -
+omega), where the integrand 2u log|L|(alpha_K - u^2) is smooth at both ends:
+Vol(alpha) = integral over [0, sqrt(alpha_K - alpha)] of that, for every
+alpha >= 0.  Adaptive Gauss-Kronrod panels evaluate it; an adaptive Simpson
+rule is available as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -27,9 +31,6 @@ from .solver import (
     roots_of_coeffs,
 )
 from .words import KnotParam
-
-COMPLETE_ALPHA_FLOOR = 1e-4  # below this, treat alpha as the complete structure
-
 
 class DegenerateLongitudeError(ArithmeticError):
     """Longitude denominator vanished at the requested point."""
@@ -210,12 +211,9 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return result, err
 
 
-def _adaptive_gk(f, a: float, b: float, tol: float, right_tol: float | None = None,
+def _adaptive_gk(f, a: float, b: float, tol: float,
                  max_panels: int = 4000) -> tuple[float, float]:
-    """Globally adaptive bisection on Gauss-Kronrod panels.
-
-    right_tol, when set, forces the panel touching b (where the integrand has
-    its square-root approach to zero) to be refined below that threshold."""
+    """Globally adaptive bisection on Gauss-Kronrod panels."""
     if b <= a:
         return 0.0, 0.0
     panels = [(a, b, *_gk15(f, a, b))]
@@ -223,15 +221,7 @@ def _adaptive_gk(f, a: float, b: float, tol: float, right_tol: float | None = No
     while True:
         total = sum(p[2] for p in panels)
         err = sum(p[3] for p in panels)
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        need_right = False
-        right_idx = -1
-        if right_tol is not None:
-            right_idx = max(range(len(panels)), key=lambda i: panels[i][1])
-            need_right = panels[right_idx][3] > right_tol and (
-                panels[right_idx][1] - panels[right_idx][0] > min_width
-            )
-        if err <= tol and not need_right:
+        if err <= tol:
             return total, err
         if len(panels) >= max_panels:
             raise QuadratureNotConvergedError(
@@ -240,16 +230,12 @@ def _adaptive_gk(f, a: float, b: float, tol: float, right_tol: float | None = No
                 best=total,
                 err=err,
             )
-        split = right_idx if need_right and panels[right_idx][3] >= panels[worst][3] * 1e-3 else worst
-        lo, hi, _, _ = panels.pop(split)
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        lo, hi, _, _ = panels[worst]
         if hi - lo <= min_width:
-            # cannot refine further; accept this panel's estimate
-            panels.append((lo, hi, *_gk15(f, lo, hi)))
-            if split == worst:
-                total = sum(p[2] for p in panels)
-                err = sum(p[3] for p in panels)
-                return total, err
-            continue
+            # cannot refine further; accept the current estimate
+            return total, err
+        del panels[worst]
         mid = 0.5 * (lo + hi)
         panels.append((lo, mid, *_gk15(f, lo, mid)))
         panels.append((mid, hi, *_gk15(f, mid, hi)))
@@ -344,33 +330,24 @@ def _integrate_volume(
     tol: float,
     rule: str,
 ) -> tuple[float, float]:
-    a = max(alpha, COMPLETE_ALPHA_FLOOR)
-    b = alpha_K
-    if b <= a:
-        return 0.0, 0.0
-    if rule == "gk":
-        vol, err = _adaptive_gk(ev.logL, a, b, tol, right_tol=tol / 10.0)
-    elif rule == "simpson":
-        vol, err = _adaptive_simpson(ev.logL, a, b, tol)
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+    """Vol(alpha) in u = sqrt(alpha_K - omega).
 
-    if alpha < COMPLETE_ALPHA_FLOOR:
-        # limit extension toward the complete structure: Richardson-extrapolate
-        # the integrand to omega -> 0 and integrate the short tail linearly
-        h = COMPLETE_ALPHA_FLOOR
-        f1, f2, f4 = ev.logL(h), ev.logL(2 * h), ev.logL(4 * h)
-        f0_lin = 2.0 * f1 - f2
-        f0_quad = (8.0 * f1 - 6.0 * f2 + f4) / 3.0
-        f0 = f0_quad
-        f_alpha = f0 + (f1 - f0) * (alpha / h)
-        tail = 0.5 * (f_alpha + f1) * (h - alpha)
-        tail_err = abs(f0_quad - f0_lin) * (h - alpha) + 0.125 * abs(
-            f2 - 2 * f1 + f0
-        ) * (h - alpha)
-        vol += tail
-        err += tail_err
-    return vol, err
+    The integrand is 0 at u = 0 by its factor u; it is not evaluated there,
+    because at the fold the root is double and its side undecided."""
+
+    def g(u: float) -> float:
+        return 2.0 * u * ev.logL(alpha_K - u * u) if u > 0.0 else 0.0
+
+    if rule == "gk":
+        return _adaptive_gk(g, 0.0, math.sqrt(alpha_K - alpha), tol)
+    if rule == "simpson":
+        return _adaptive_simpson(g, 0.0, math.sqrt(alpha_K - alpha), tol)
+    raise ValueError(f"unknown quadrature rule {rule!r}")
+
+
+def seed_angle(alpha: float) -> float:
+    """Seed angle of the branch that serves volumes at angles >= alpha."""
+    return max(min(alpha, 0.1), 1e-4)
 
 
 def cone_volume(
@@ -385,20 +362,20 @@ def cone_volume(
 ) -> VolumeResult:
     """Vol(X_{J(k,2n)}(alpha)) by Schlafli integration along the geometric branch.
 
-    alpha in [0, pi]; values below 1e-4 are treated as the complete structure
-    (integration from 1e-4 plus an extrapolated tail).  tol is the absolute
-    quadrature tolerance.  step/rule/form select the continuation step, the
-    quadrature rule ("gk" or "simpson"), and the Riley construction route
-    ("closed" or "recursive") for cross-validation runs.
+    alpha in [0, pi]; alpha = 0 is the complete structure.  The integral is
+    taken over u = sqrt(alpha_K - omega) in [0, sqrt(alpha_K - alpha)], with
+    alpha_K the fold where the branch lands on the real axis.  tol is the
+    absolute quadrature tolerance.  step/rule/form select the continuation
+    step, the quadrature rule ("gk" or "simpson"), and the Riley construction
+    route ("closed" or "recursive") for cross-validation runs.
     """
     if not (0.0 <= alpha <= math.pi):
         raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
     if branch is None:
-        seed_alpha = max(min(alpha, 0.1), COMPLETE_ALPHA_FLOOR)
         branch = geometric_branch(
-            knot, seed_alpha, step=step if step is not None else 0.005, form=form
+            knot, seed_angle(alpha), step=step if step is not None else 0.005, form=form
         )
     alpha_K = branch.alpha_K if branch.alpha_K is not None else math.pi
     ev = _BranchEvaluator(branch)
@@ -434,9 +411,8 @@ def volume_curve(
         return []
     if any(not (0.0 <= a <= math.pi) for a in alphas):
         raise ValueError("each alpha must lie in [0, pi]")
-    seed_alpha = max(min(min(alphas), 0.1), COMPLETE_ALPHA_FLOOR)
     branch = geometric_branch(
-        knot, seed_alpha, step=step if step is not None else 0.005, form=form
+        knot, seed_angle(alphas[0]), step=step if step is not None else 0.005, form=form
     )
     return [
         cone_volume(knot, a, tol, step=step, rule=rule, form=form, branch=branch)

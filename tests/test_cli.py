@@ -71,7 +71,22 @@ def test_volume_trefoil_exit_code(runner):
     assert "non-hyperbolic" in res.output or "non-hyperbolic" in (res.stderr or "")
 
 
-def test_volume_curve_files(runner, tmp_path):
+def test_volume_curve_files(runner, tmp_path, monkeypatch):
+    import dtvol.cli
+    import dtvol.volume
+
+    builds = []
+
+    def counting(build):
+        def wrapped(*args, **kwargs):
+            builds.append(args[0])
+            return build(*args, **kwargs)
+
+        return wrapped
+
+    for module in (dtvol.cli, dtvol.volume):
+        build = counting(module.geometric_branch)
+        monkeypatch.setattr(module, "geometric_branch", build)
     out = tmp_path / "curve.csv"
     res = runner.invoke(
         main,
@@ -86,6 +101,22 @@ def test_volume_curve_files(runner, tmp_path):
     assert all(a >= b - 1e-12 for a, b in zip(vols, vols[1:]))
     branch_csv = out.with_suffix(".branch.csv")
     assert branch_csv.read_text().startswith("omega,re_z,im_z,re_L,im_L,logabsL")
+    # the headline volume and the curve share one branch
+    assert len(builds) == 1
+
+
+def test_cache_key_tracks_sources(runner, tmp_path, monkeypatch):
+    import dtvol.cli
+
+    args = ["riley", "-k", "2", "-n", "-1", "--zpoly"]
+    cache = tmp_path / "cache"
+    assert runner.invoke(main, args).exit_code == 0
+    assert runner.invoke(main, args).exit_code == 0
+    assert len(list(cache.glob("*.json"))) == 1  # the replay was a hit
+    # other module sources: the same command is a miss, computed and stored
+    monkeypatch.setattr(dtvol.cli, "_source_fingerprint", lambda: "0" * 64)
+    assert runner.invoke(main, args).exit_code == 0
+    assert len(list(cache.glob("*.json"))) == 2
 
 
 def test_curve_command(runner, tmp_path):

@@ -174,6 +174,14 @@ def test_structured_newton_agrees_with_roots():
             assert abs(phi) < 1e-7 * scale
 
 
+def test_alpha_K_symmetric_pairs():
+    # J(k,l) ~ J(l,k), with the mirror partner J(-l,-k) for l < 0; these
+    # pairs disagreed by up to 1.3e-6 under a realness-threshold landing
+    for a, b in [((2, 4), (8, 1)), ((2, -2), (4, -1)), ((2, -3), (6, -1)),
+                 ((2, -4), (8, -1))]:
+        assert abs(find_alpha_K(KnotParam(*a)) - find_alpha_K(KnotParam(*b))) < 1e-10
+
+
 def test_alpha_K_in_theoretical_range():
     for kn in [(2, -1), (2, 2), (3, -1), (4, -2), (5, 1)]:
         aK = find_alpha_K(KnotParam(*kn))
