@@ -14,6 +14,25 @@ The same value is produced by a two-term recurrence in n (P_n = t P_{n-1} -
 P_{n-2} with P_0 = 1 and an explicit P_1), which serves as an independent
 second construction route; and by coefficient-vector arithmetic yielding the
 polynomial in z at fixed M for the root solver.
+
+M enters only through c2 = M^2 + M^-2, and t, d and P_1 are affine in it:
+t = t0 + c2 t1, d = d0 + c2 d1, P_1 = p0 + c2 p1, with
+
+  odd  k = 2m+1:  q = S_m S_{m-1},  r = S_m (S_m - S_{m-1}),
+                  s = S_{m-1} (S_m - S_{m-1})
+      t0 = 2 - z - z(z-2) q,  t1 = 1 + (z-2) q
+      d0 = 1 - z r,           d1 = r
+      p0 = 1 + z s,           p1 = -s
+
+  even k = 2m:    q = S_{m-1}^2,  r = S_{m-1} (S_m - S_{m-1}),
+                  s = S_{m-1} (S_{m-1} - S_{m-2})
+      t0 = 2 + z(z-2) q,      t1 = -(z-2) q
+      d0 = 1 + z r,           d1 = -r
+      p0 = 1 - z s,           p1 = s
+
+These six polynomials in z are built once per k (``_affine_polys``); every
+evaluation of Phi and every coefficient polynomial at fixed M is assembled
+from them, so no angle rebuilds a polynomial.
 """
 
 from __future__ import annotations
@@ -131,24 +150,44 @@ def riley_recursive(k: int, n: int, pt: RepPoint) -> complex:
     return cur
 
 
-def _coeff_polys(k: int, M: complex) -> tuple[ZPoly, ZPoly, ZPoly]:
-    """(t(z), d(z), p1(z)) as coefficient polynomials at fixed M."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _affine_polys(k: int) -> tuple[ZPoly, ...]:
+    """(t0, t1, d0, d1, p0, p1) in z, with t = t0 + c2 t1, d = d0 + c2 d1 and
+    P_1 = p0 + c2 p1 (c2 = M^2 + M^-2); built once per k, read-only."""
     m = (k - 1) // 2 if k % 2 else k // 2
-    c2 = _m2_sum(M)
     sm = coeffs_S(m)
     sm1 = coeffs_S(m - 1)
-    z_m_c2 = X - const(c2)
+    one = const(1.0)
     z_m_2 = X - const(2.0)
     if k % 2:
-        t = const(c2 + 2.0) - X - z_m_2 * z_m_c2 * sm * sm1
-        d = const(1.0) - z_m_c2 * sm * (sm - sm1)
-        p1 = const(1.0) + z_m_c2 * sm1 * (sm - sm1)
+        q, r, s = sm * sm1, sm * (sm - sm1), sm1 * (sm - sm1)
+        t0 = const(2.0) - X - X * z_m_2 * q
+        t1 = one + z_m_2 * q
+        d0, d1 = one - X * r, r
+        p0, p1 = one + X * s, -s
     else:
         sm2 = coeffs_S(m - 2)
-        t = const(2.0) + z_m_2 * z_m_c2 * sm1 * sm1
-        d = const(1.0) + z_m_c2 * sm1 * (sm - sm1)
-        p1 = const(1.0) - z_m_c2 * sm1 * (sm1 - sm2)
-    return t, d, p1
+        q, r, s = sm1 * sm1, sm1 * (sm - sm1), sm1 * (sm1 - sm2)
+        t0 = const(2.0) + X * z_m_2 * q
+        t1 = -(z_m_2 * q)
+        d0, d1 = one + X * r, -r
+        p0, p1 = one - X * s, s
+    pieces = (t0, t1, d0, d1, p0, p1)
+    for p in pieces:
+        _read_only(p.coeffs)
+    return pieces
+
+
+def _coeff_polys(k: int, M: complex) -> tuple[ZPoly, ZPoly, ZPoly]:
+    """(t(z), d(z), p1(z)) as coefficient polynomials at fixed M."""
+    c2 = _m2_sum(M)
+    t0, t1, d0, d1, p0, p1 = _affine_polys(k)
+    return t0 + c2 * t1, d0 + c2 * d1, p0 + c2 * p1
 
 
 def riley_zpoly(k: int, n: int, M: complex, form: str = "closed") -> ZPoly:
@@ -206,41 +245,41 @@ def riley_zpoly(k: int, n: int, M: complex, form: str = "closed") -> ZPoly:
     return phi
 
 
-@lru_cache(maxsize=64)
-def _eval_parts(k: int, M: complex):
-    """Descending coefficient arrays of t, d and their z-derivatives."""
-    t, d, _ = _coeff_polys(k, M)
-    return (
-        t.coeffs[::-1].copy(),
-        d.coeffs[::-1].copy(),
-        t.deriv().coeffs[::-1].copy(),
-        d.deriv().coeffs[::-1].copy(),
-    )
+@lru_cache(maxsize=None)
+def _eval_parts(k: int):
+    """Descending coefficient arrays of t0, t1, d0, d1 and their z-derivatives
+    (read-only: the cache lives for the whole process)."""
+    t0, t1, d0, d1, _, _ = _affine_polys(k)
+    pieces = (t0, t1, d0, d1)
+    pieces += tuple(p.deriv() for p in pieces)
+    return tuple(_read_only(p.coeffs[::-1].copy()) for p in pieces)
 
 
-@lru_cache(maxsize=64)
-def _eval_parts_py(k: int, M: complex):
-    """_eval_parts as plain tuples, for the scalar fast path."""
-    return tuple(tuple(a) for a in _eval_parts(k, M))
+@lru_cache(maxsize=None)
+def _eval_parts_py(k: int):
+    """_eval_parts as tuples of Python complex numbers, for the scalar path."""
+    return tuple(tuple(a.tolist()) for a in _eval_parts(k))
 
 
-def _horner(coeffs, z: complex) -> complex:
+def _horner(coeffs, z):
     acc = 0j
     for c in coeffs:
         acc = acc * z + c
     return acc
 
 
-def riley_phi_dphi_scalar(
-    k: int, n: int, M: complex, z: complex
-) -> tuple[complex, complex, float]:
-    """Scalar version of riley_phi_dphi (pure Python, no array overhead)."""
-    tc, dc, dtc, ddc = _eval_parts_py(k, complex(M))
-    z = complex(z)
-    t = _horner(tc, z)
-    d = _horner(dc, z)
-    dt = _horner(dtc, z)
-    dd = _horner(ddc, z)
+def _phi_dphi(parts, n: int, M: complex, z):
+    """(Phi, dPhi/dz, scale) at z from one knot's pieces (``_eval_parts``):
+    t = t0(z) + c2 t1(z) and d likewise, then Phi = S_n(t) - d S_{n-1}(t) by
+    the Chebyshev recurrence in n.  Runs unchanged on a Python complex z and
+    on a numpy array of z."""
+    t0, t1, d0, d1, dt0, dt1, dd0, dd1 = parts
+    c2 = _m2_sum(complex(M))
+    t = _horner(t0, z) + c2 * _horner(t1, z)
+    d = _horner(d0, z) + c2 * _horner(d1, z)
+    dt = _horner(dt0, z) + c2 * _horner(dt1, z)
+    dd = _horner(dd0, z) + c2 * _horner(dd1, z)
+    # (a, am) = (S_j(t), S_{j-1}(t)) with z-derivatives (da, dam)
     a, am = 1.0 + 0j, 0j
     da, dam = 0j, 0j
     if n >= 0:
@@ -255,6 +294,13 @@ def riley_phi_dphi_scalar(
     return phi, dphi, scale
 
 
+def riley_phi_dphi_scalar(
+    k: int, n: int, M: complex, z: complex
+) -> tuple[complex, complex, float]:
+    """Scalar version of riley_phi_dphi (pure Python, no array overhead)."""
+    return _phi_dphi(_eval_parts_py(k), n, M, complex(z))
+
+
 def riley_phi_dphi(k: int, n: int, M: complex, z):
     """(Phi, dPhi/dz, magnitude scale) at z, scalar or array.
 
@@ -264,27 +310,7 @@ def riley_phi_dphi(k: int, n: int, M: complex, z):
     ill-conditioned.  The scale output is the natural magnitude of the
     expression, for roundoff-floor tests on |Phi|.
     """
-    z = np.asarray(z, dtype=complex)
-    tc, dc, dtc, ddc = _eval_parts(k, complex(M))
-    t = np.polyval(tc, z)
-    d = np.polyval(dc, z)
-    dt = np.polyval(dtc, z)
-    dd = np.polyval(ddc, z)
-    one = np.ones_like(z)
-    zero = np.zeros_like(z)
-    # (a, am) = (S_j(t), S_{j-1}(t)) with z-derivatives (da, dam)
-    a, am = one, zero
-    da, dam = zero, zero
-    if n >= 0:
-        for _ in range(n):
-            a, am, da, dam = t * a - am, a, dt * a + t * da - dam, da
-    else:
-        for _ in range(-n):
-            a, am, da, dam = am, t * am - a, dam, dt * am + t * dam - da
-    phi = a - d * am
-    dphi = da - dd * am - d * dam
-    scale = np.abs(a) + np.abs(d) * np.abs(am) + 1e-300
-    return phi, dphi, scale
+    return _phi_dphi(_eval_parts(k), n, M, np.asarray(z, dtype=complex))
 
 
 def prop_w_matrix(k: int, pt: RepPoint) -> Mat2C:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dtvol import riley
 from dtvol.riley import (
     ConditioningWarning,
     prop_w_matrix,
@@ -135,6 +136,54 @@ def test_phi_dphi_structured_evaluation():
             fs, dfs, _ = riley_phi_dphi_scalar(k, n, M, complex(z))
             assert fs == pytest.approx(f, rel=1e-13, abs=1e-13)
             assert dfs == pytest.approx(df, rel=1e-13, abs=1e-13)
+
+
+def test_affine_pieces_match_closed_form():
+    # t0 + c2 t1, d0 + c2 d1 and p0 + c2 p1 against the Chebyshev-value routes,
+    # which never expand coefficients in z
+    rng = np.random.default_rng(31)
+    for k in range(2, 20):
+        t0, t1, d0, d1, p0, p1 = riley._affine_polys(k)
+        for _ in range(10):
+            pt = random_reppoint(rng)
+            c2 = pt.M**2 + pt.M**-2
+            z = pt.z
+            rc = riley_coefficients(k, pt)
+            p = riley._p1_value(k, pt)
+            assert abs(t0(z) + c2 * t1(z) - rc.t) <= 1e-10 * abs(rc.t), k
+            assert abs(d0(z) + c2 * d1(z) - rc.d) <= 1e-10 * abs(rc.d), k
+            assert abs(p0(z) + c2 * p1(z) - p) <= 1e-10 * abs(p), k
+
+
+def test_phi_dphi_scalar_matches_recursive():
+    rng = np.random.default_rng(32)
+    for k in range(2, 20):
+        for _ in range(3):
+            pt = random_reppoint(rng)
+            for M in (pt.M, pt.M / abs(pt.M)):
+                for n in range(-10, 11):
+                    phi, _, scale = riley_phi_dphi_scalar(k, n, M, pt.z)
+                    ref = riley_recursive(k, n, RepPoint(M, pt.z))
+                    assert abs(phi - ref) <= 1e-9 * scale, (k, n, M)
+
+
+def test_kernel_built_once_per_knot():
+    riley._eval_parts.cache_clear()
+    riley._eval_parts_py.cache_clear()
+    zs = np.array([0.3 + 0.7j, -1.1 + 0.2j])
+    for omega in np.linspace(0.01, np.pi, 200):
+        M = complex(np.exp(0.5j * omega))
+        riley_phi_dphi_scalar(7, 5, M, zs[0])
+        riley_phi_dphi(7, 5, M, zs)
+    assert riley._eval_parts_py.cache_info().misses == 1
+    assert riley._eval_parts.cache_info().misses == 1
+
+
+def test_cached_kernel_is_read_only():
+    with pytest.raises(ValueError):
+        riley._eval_parts(5)[0][0] = 0.0
+    with pytest.raises(ValueError):
+        riley._affine_polys(5)[0].coeffs[0] = 0.0
 
 
 def test_prop_w_matrix_against_product():
