@@ -247,11 +247,12 @@ def riley_zpoly(k: int, n: int, M: complex, form: str = "closed") -> ZPoly:
 
 @lru_cache(maxsize=None)
 def _eval_parts(k: int):
-    """Descending coefficient arrays of t0, t1, d0, d1 and their z-derivatives
-    (read-only: the cache lives for the whole process)."""
-    t0, t1, d0, d1, _, _ = _affine_polys(k)
-    pieces = (t0, t1, d0, d1)
-    pieces += tuple(p.deriv() for p in pieces)
+    """Descending coefficient arrays of t0, t1, d0, d1, p0, p1, then of their
+    first z-derivatives, then of their second (read-only: the cache lives for
+    the whole process)."""
+    pieces = list(_affine_polys(k))
+    pieces += [p.deriv() for p in pieces]
+    pieces += [p.deriv() for p in pieces[6:]]
     return tuple(_read_only(p.coeffs[::-1].copy()) for p in pieces)
 
 
@@ -268,26 +269,39 @@ def _horner(coeffs, z):
     return acc
 
 
-def _phi_dphi(parts, n: int, M: complex, z):
+def _walk(t, dt, a, da, am, dam, steps: int):
+    """``steps`` turns of (a, am) -> (t a - am, a), carrying d/dz along."""
+    for _ in range(steps):
+        a, am, da, dam = t * a - am, a, dt * a + t * da - dam, da
+    return a, da, am, dam
+
+
+def _phi_dphi(parts, n: int, M: complex, z, form: str = "closed"):
     """(Phi, dPhi/dz, scale) at z from one knot's pieces (``_eval_parts``):
-    t = t0(z) + c2 t1(z) and d likewise, then Phi = S_n(t) - d S_{n-1}(t) by
-    the Chebyshev recurrence in n.  Runs unchanged on a Python complex z and
-    on a numpy array of z."""
-    t0, t1, d0, d1, dt0, dt1, dd0, dd1 = parts
+    t = t0(z) + c2 t1(z) and d, P_1 likewise.  form="closed" gives
+    Phi = S_n(t) - d S_{n-1}(t) from (S_0, S_-1) = (1, 0); form="recursive"
+    runs P_j = t P_{j-1} - P_{j-2} from (P_0, P_1) = (1, P_1), an independent
+    route to the same value.  Runs unchanged on a Python complex z and on a
+    numpy array of z."""
+    t0, t1, d0, d1, p0, p1, dt0, dt1, dd0, dd1, dp0, dp1 = parts[:12]
     c2 = _m2_sum(complex(M))
     t = _horner(t0, z) + c2 * _horner(t1, z)
-    d = _horner(d0, z) + c2 * _horner(d1, z)
     dt = _horner(dt0, z) + c2 * _horner(dt1, z)
+    if form == "recursive":
+        p = _horner(p0, z) + c2 * _horner(p1, z)
+        dp = _horner(dp0, z) + c2 * _horner(dp1, z)
+        if n > 0:
+            a, da, am, _ = _walk(t, dt, p, dp, 1.0 + 0j, 0j, n - 1)
+        else:  # the same turn walks down from (P_0, P_1)
+            a, da, am, _ = _walk(t, dt, 1.0 + 0j, 0j, p, dp, -n)
+        return a, da, abs(a) + abs(t) * abs(am) + 1e-300
+    d = _horner(d0, z) + c2 * _horner(d1, z)
     dd = _horner(dd0, z) + c2 * _horner(dd1, z)
-    # (a, am) = (S_j(t), S_{j-1}(t)) with z-derivatives (da, dam)
-    a, am = 1.0 + 0j, 0j
-    da, dam = 0j, 0j
+    # (a, am) = (S_n(t), S_{n-1}(t)); for n < 0 walk (S_-1, S_0) down
     if n >= 0:
-        for _ in range(n):
-            a, am, da, dam = t * a - am, a, dt * a + t * da - dam, da
+        a, da, am, dam = _walk(t, dt, 1.0 + 0j, 0j, 0j, 0j, n)
     else:
-        for _ in range(-n):
-            a, am, da, dam = am, t * am - a, dam, dt * am + t * dam - da
+        am, dam, a, da = _walk(t, dt, 0j, 0j, 1.0 + 0j, 0j, -n)
     phi = a - d * am
     dphi = da - dd * am - d * dam
     scale = abs(a) + abs(d) * abs(am) + 1e-300
@@ -295,22 +309,77 @@ def _phi_dphi(parts, n: int, M: complex, z):
 
 
 def riley_phi_dphi_scalar(
-    k: int, n: int, M: complex, z: complex
+    k: int, n: int, M: complex, z: complex, form: str = "closed"
 ) -> tuple[complex, complex, float]:
     """Scalar version of riley_phi_dphi (pure Python, no array overhead)."""
-    return _phi_dphi(_eval_parts_py(k), n, M, complex(z))
+    return _phi_dphi(_eval_parts_py(k), n, M, complex(z), form)
 
 
-def riley_phi_dphi(k: int, n: int, M: complex, z):
+def riley_phi_dphi(k: int, n: int, M: complex, z, form: str = "closed"):
     """(Phi, dPhi/dz, magnitude scale) at z, scalar or array.
 
     Evaluates through the structured closed form (t(z), d(z) and the
     Chebyshev recurrence in n) instead of expanded monomial coefficients,
     which keeps full relative accuracy where the expanded form is
-    ill-conditioned.  The scale output is the natural magnitude of the
-    expression, for roundoff-floor tests on |Phi|.
+    ill-conditioned; form="recursive" runs the recurrence from (P_0, P_1)
+    instead.  The scale output is the natural magnitude of the expression,
+    for roundoff-floor tests on |Phi|.
     """
-    return _phi_dphi(_eval_parts(k), n, M, np.asarray(z, dtype=complex))
+    return _phi_dphi(_eval_parts(k), n, M, np.asarray(z, dtype=complex), form)
+
+
+def _jmul(f, g):
+    """Product of two jets (value, d/dz, d2/dz2, d/dc2, d2/dz dc2)."""
+    f0, fz, fzz, fc, fzc = f
+    g0, gz, gzz, gc, gzc = g
+    return (
+        f0 * g0,
+        fz * g0 + f0 * gz,
+        fzz * g0 + 2.0 * fz * gz + f0 * gzz,
+        fc * g0 + f0 * gc,
+        fzc * g0 + fz * gc + fc * gz + f0 * gzc,
+    )
+
+
+def _jsub(f, g):
+    return tuple(a - b for a, b in zip(f, g))
+
+
+def riley_phi_jet(k: int, n: int, c2, z, form: str = "closed"):
+    """(Phi, Phi_z, Phi_zz, Phi_c2, Phi_z c2) at (c2, z), scalar or array.
+
+    The recurrence of ``riley_phi_dphi`` carried on second-order jets; the
+    c2-derivatives use dt/dc2 = t1, dd/dc2 = d1 and dP_1/dc2 = p1.  With
+    c2 = 2 cos omega, dPhi/domega = Phi_c2 * (-2 sin omega)."""
+    parts = _eval_parts(k)
+    z = np.asarray(z, dtype=complex)
+
+    def piece(i):  # jet of f0 + c2 f1 for the pair i (0: t, 1: d, 2: P_1)
+        f1, df1 = _horner(parts[2 * i + 1], z), _horner(parts[2 * i + 7], z)
+        return (
+            _horner(parts[2 * i], z) + c2 * f1,
+            _horner(parts[2 * i + 6], z) + c2 * df1,
+            _horner(parts[2 * i + 12], z) + c2 * _horner(parts[2 * i + 13], z),
+            f1,
+            df1,
+        )
+
+    one, zero = (1.0 + 0j, 0j, 0j, 0j, 0j), (0j,) * 5
+    t = piece(0)
+
+    def walk(a, am, steps):
+        for _ in range(steps):
+            a, am = _jsub(_jmul(t, a), am), a
+        return a, am
+
+    if form == "recursive":
+        p = piece(2)
+        return walk(p, one, n - 1)[0] if n > 0 else walk(one, p, -n)[0]
+    if n >= 0:
+        a, am = walk(one, zero, n)
+    else:
+        am, a = walk(zero, one, -n)
+    return _jsub(a, _jmul(piece(1), am))
 
 
 def prop_w_matrix(k: int, pt: RepPoint) -> Mat2C:

@@ -1,18 +1,20 @@
-"""Root finding for the Riley polynomial at fixed cone angle and continuation
-of the geometric root across cone angles.
+"""The geometric branch of the Riley polynomial across cone angles, and the
+expanded-coefficient root solver behind ``dtvol roots``.
 
-The geometric branch is seeded near the complete structure (small omega),
-where the geometric root is a nonreal root obeying the branch inequality
-imcond <= 0, and continued to pi by predictor-corrector stepping with
-adaptive step halving (the corrector is Newton on the structured closed-form
-evaluation of Phi, which keeps full accuracy inside root clusters where the
-expanded coefficients do not).  The cone angle at which the branch lands on
-the real axis is the Euclidean angle alpha_K: the landing is a square-root
-collision of the root with its conjugate, i.e. a fold Phi = dPhi/dz = 0 at
-real (z, omega), which is solved for directly by Newton on that 2x2 real
-system once the secant of Im(z)^2 (linear in omega across the collision)
-reaches the axis.  Above alpha_K all characters on the branch are real and
-tracking reduces to following the nearest real root.
+At omega = pi (M = i, c2 = -2) the roots of Phi are known in closed form:
+the dihedral characters z_j = 2 cos(2 pi j/|p|), p = 2kn - 1 (Klassen,
+Trans. AMS 326, 1991), all real and simple, as many as the degree of Phi in
+z.  Phi is real for real (omega, z), so these roots stay real as omega falls
+until two neighbours collide in a fold Phi = dPhi/dz = 0 and leave the axis
+as a conjugate pair.  ``largest_fold`` sweeps all of them down from pi to
+the first collision, the Euclidean angle alpha_K, and solves the fold as a
+real 2x2 system.  Below alpha_K the colliding pair separates like
+sqrt(alpha_K - omega), so ``geometric_branch`` follows the root that obeys
+the branch inequality imcond <= 0 in u = sqrt(alpha_K - omega), where it is
+analytic, from the fold down to the seed angle; above alpha_K the branch is
+the swept real root.  Every Newton step runs on the structured evaluation of
+Phi (``riley.riley_phi_dphi``), which keeps full relative accuracy inside
+the root clusters where the expanded coefficients do not.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,26 +33,19 @@ from .zpoly import ZPoly
 
 DEFAULT_STEP = 0.005
 MIN_STEP = 1e-6
-REAL_IM_TOL = 1e-9  # |Im z| below this counts as a real character
 BACKWARD_ERROR_TOL = 1e-10
-_CROSSING_IM_WINDOW = 0.02  # |Im z| below this arms the fold solve
 
 
 class NonHyperbolicError(ValueError):
-    """Seed polynomial has only real roots (trefoil or non-hyperbolic parameters)."""
+    """No fold of the real roots, so no geometric branch (the trefoil)."""
 
-    def __init__(self, knot: KnotParam, message: str | None = None, branch=None):
+    def __init__(self, knot: KnotParam, message: str):
         self.knot = knot
-        self.branch = branch  # diagnostic Branch with hyperbolic=False
-        super().__init__(
-            message
-            or f"{knot}: no nonreal root at the seed angle "
-            "(trefoil or non-hyperbolic parameters)"
-        )
+        super().__init__(message)
 
 
 class ContinuationAmbiguousError(RuntimeError):
-    """Nearest-root matching stayed ambiguous at the minimum step."""
+    """A sweep or continuation step could not be verified at the minimum step."""
 
 
 # ---------------------------------------------------------------------------
@@ -91,38 +87,6 @@ def _residuals_ok(c_asc, x, factor: float = 64.0) -> bool:
     scale = np.abs(c_asc) @ np.abs(powers)
     eps = np.finfo(float).eps
     return bool(np.all(p <= factor * eps * np.maximum(scale, np.finfo(float).tiny)))
-
-
-def _symmetrize_conjugate_pairs(roots: np.ndarray) -> np.ndarray:
-    """Enforce the root symmetry of real-coefficient polynomials.
-
-    Greedily pairs each root with its best conjugate partner: self-paired
-    roots are snapped onto the real axis, mutual pairs are averaged into an
-    exact conjugate pair.  This recovers the structurally exact realness
-    decision that a real companion-matrix eigensolver would give."""
-    n = roots.size
-    if n == 0:
-        return roots
-    D = np.abs(roots[:, None] - np.conj(roots)[None, :])
-    out = roots.copy()
-    unused = np.ones(n, dtype=bool)
-    big = np.inf
-    for _ in range(n):
-        if not unused.any():
-            break
-        M = np.where(unused[:, None] & unused[None, :], D, big)
-        i, j = np.unravel_index(int(np.argmin(M)), M.shape)
-        if not np.isfinite(M[i, j]):
-            break
-        if i == j:
-            out[i] = complex(roots[i].real, 0.0)
-            unused[i] = False
-        else:
-            c = 0.5 * (roots[i] + np.conj(roots[j]))
-            out[i] = c
-            out[j] = np.conj(c)
-            unused[i] = unused[j] = False
-    return out
 
 
 def _newton_polish(c_asc, x, iters=2):
@@ -196,12 +160,10 @@ def max_backward_error(coeffs, roots) -> float:
     return float(np.max(vals / (np.max(np.abs(c)) * bound)))
 
 
-def roots_of_coeffs(coeffs, warm=None) -> np.ndarray:
+def roots_of_coeffs(coeffs) -> np.ndarray:
     """All roots of the polynomial given constant-first coefficients.
 
-    warm, if given and of matching length, seeds the Aberth iteration (used
-    for continuation along omega); a warm result is accepted on backward
-    error, so clustered roots do not force full restarts.  Falls back to
+    Aberth iteration from a Fujiwara circle, Newton-polished; falls back to
     companion-matrix eigenvalues if the iteration stalls.
     """
     c = np.asarray(coeffs, dtype=complex)
@@ -232,21 +194,11 @@ def roots_of_coeffs(coeffs, warm=None) -> np.ndarray:
         r2 = cc / q if q != 0 else r1
         roots = np.array([r1, r2])
     else:
-        roots = None
-        if warm is not None and len(warm) == deg:
-            cand, _ = _aberth(c, warm, max_iter=8)
-            cand = _newton_polish(c, cand, iters=1)
-            if not _residuals_ok(c, cand):
-                cand, _ = _aberth(c, cand, max_iter=16)
-                cand = _newton_polish(c, cand, iters=1)
-            if _residuals_ok(c, cand) and np.all(np.isfinite(cand)):
-                roots = cand
-        if roots is None:
-            cand, _ = _aberth(c, _initial_circle(c))
-            cand = _newton_polish(c, cand)
-            if _residuals_ok(c, cand) and np.all(np.isfinite(cand)):
-                roots = cand
-        if roots is None:
+        cand, _ = _aberth(c, _initial_circle(c))
+        cand = _newton_polish(c, cand)
+        if _residuals_ok(c, cand) and np.all(np.isfinite(cand)):
+            roots = cand
+        else:
             roots = _newton_polish(c, np.roots(c[::-1]))
 
     if nzeros:
@@ -316,11 +268,10 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class SeedCandidate:
-    """A seed root satisfying the branch inequality, with its coarse volume score."""
+    """The tracked root at the seed angle, with its branch inequality value."""
 
     z: complex
     imcond: float
-    coarse_volume: float
     selected: bool
 
 
@@ -331,7 +282,6 @@ class Branch:
     knot: KnotParam
     points: list[BranchPoint] = field(default_factory=list)
     alpha_K: float | None = None
-    hyperbolic: bool = True
     candidates: list[SeedCandidate] = field(default_factory=list)
     step: float = DEFAULT_STEP
     form: str = "closed"
@@ -344,30 +294,18 @@ class Branch:
         idx = bisect_left(self.omegas, omega + 1e-300)
         return self.points[max(0, min(idx, len(self.points)) - 1)]
 
-    def bracket(self, omega: float) -> tuple[BranchPoint, BranchPoint]:
-        oms = self.omegas
-        idx = bisect_left(oms, omega)
-        if idx <= 0:
-            return self.points[0], self.points[min(1, len(self.points) - 1)]
-        if idx >= len(oms):
-            return self.points[-2], self.points[-1]
-        return self.points[idx - 1], self.points[idx]
 
+class Fold(NamedTuple):
+    """The first collision of the real roots swept down from pi."""
 
-def _is_real(z: complex, scale: float = 1.0) -> bool:
-    return abs(z.imag) <= REAL_IM_TOL * scale
-
-
-def _snap_real(z: complex) -> complex:
-    return complex(z.real, 0.0) if abs(z.imag) <= 1e-7 * (1.0 + abs(z)) else z
-
-
-def _nearest(roots: np.ndarray, z: complex) -> complex:
-    return complex(roots[int(np.argmin(np.abs(roots - z)))])
+    alpha_K: float
+    x_K: float
+    j: int  # the colliding pair is z_j, z_{j+1} (``dihedral_characters``)
+    path: list[tuple[float, float]]  # (omega, z_j) on (alpha_K, pi], descending
 
 
 def structured_polish(
-    knot: KnotParam, omega: float, z, iters: int = 3
+    knot: KnotParam, omega: float, z, iters: int = 3, form: str = "closed"
 ):
     """Newton-refine roots against the structured closed-form evaluation of
     Phi, which stays accurate where the expanded coefficients are
@@ -377,64 +315,34 @@ def structured_polish(
     M = omega_to_M(omega)
     x = np.atleast_1d(np.asarray(z, dtype=complex)).copy()
     for _ in range(iters):
-        phi, dphi, _ = riley_phi_dphi(knot.k, knot.n, M, x)
+        phi, dphi, _ = riley_phi_dphi(knot.k, knot.n, M, x, form)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = phi / dphi
         step[~np.isfinite(step)] = 0.0
         x_new = x - step
-        phi_new, _, _ = riley_phi_dphi(knot.k, knot.n, M, x_new)
+        phi_new, _, _ = riley_phi_dphi(knot.k, knot.n, M, x_new, form)
         better = np.abs(phi_new) <= np.abs(phi)
         x = np.where(better, x_new, x)
     return x
 
 
-class _Tracker:
-    """Solves Phi roots along omega with warm starts and a per-angle cache.
-
-    Root sets are refined against the structured evaluation of Phi and then
-    conjugate-symmetrized, so positions and realness remain meaningful even
-    inside clusters where the expanded coefficients lose them."""
-
-    def __init__(self, knot: KnotParam, form: str = "closed"):
-        self.knot = knot
-        self.form = form
-        self._warm: np.ndarray | None = None
-        self._cache: dict[float, np.ndarray] = {}
-
-    def roots(self, omega: float) -> np.ndarray:
-        hit = self._cache.get(omega)
-        if hit is not None:
-            self._warm = hit
-            return hit
-        c = phi_coeffs(self.knot, omega, self.form)
-        warm = (
-            self._warm
-            if (self._warm is not None and self._warm.size == c.size - 1)
-            else None
-        )
-        r = roots_of_coeffs(c, warm=warm)
-        r = structured_polish(self.knot, omega, r, iters=2)
-        if np.all(c.imag == 0.0):
-            r = _symmetrize_conjugate_pairs(r)
-        self._warm = r
-        self._cache[omega] = r
-        return r
-
-
 def _struct_root(
-    knot: KnotParam, omega: float, z0: complex, max_iter: int = 24
+    knot: KnotParam, omega: float, z0: complex, max_iter: int = 24,
+    form: str = "closed",
 ) -> tuple[complex, bool]:
     """Scalar Newton on the structured evaluation of Phi from the guess z0.
 
-    Converges when the step reaches relative 1e-13 or |Phi| reaches its
-    evaluation roundoff floor (which is how near-double roots close to the
-    real-axis landing terminate)."""
+    Converges when the step reaches relative 1e-13, when |Phi| reaches its
+    evaluation roundoff floor, or when a step below relative 1e-9 is no
+    shorter than the one before: next to the fold the root is nearly double,
+    and the steps stall at the evaluation noise above both other tests."""
     from .riley import riley_phi_dphi_scalar
 
     M = omega_to_M(omega)
     z = complex(z0)
+    last = math.inf
     for _ in range(max_iter):
-        phi, dphi, scale = riley_phi_dphi_scalar(knot.k, knot.n, M, z)
+        phi, dphi, scale = riley_phi_dphi_scalar(knot.k, knot.n, M, z, form)
         if abs(phi) <= 64.0 * 2.220446049250313e-16 * scale:
             return z, True
         if dphi == 0:
@@ -446,218 +354,157 @@ def _struct_root(
         ):
             return z, False
         z = z_new
-        if abs(step) <= 1e-13 * (1.0 + abs(z)):
+        size = abs(step) / (1.0 + abs(z))
+        if size <= 1e-13 or last <= size <= 1e-9:
             return z, True
+        last = size
     return z, False
 
 
-def _fold_point(knot: KnotParam, omega: float, x: float) -> tuple[float, float] | None:
+def _omega_jet(knot: KnotParam, omega: float, x, form: str):
+    """(Phi, Phi_z, Phi_zz, Phi_omega, Phi_z omega) at real omega and real x
+    (scalar or array), all real there; dc2/domega = -2 sin omega."""
+    from .riley import riley_phi_jet
+
+    phi, phi_z, phi_zz, phi_c, phi_zc = riley_phi_jet(
+        knot.k, knot.n, 2.0 * math.cos(omega), x, form
+    )
+    dc = -2.0 * math.sin(omega)
+    return phi.real, phi_z.real, phi_zz.real, dc * phi_c.real, dc * phi_zc.real
+
+
+def _fold_point(
+    knot: KnotParam, omega: float, x: float, form: str = "closed"
+) -> tuple[float, float] | None:
     """The fold Phi = dPhi/dz = 0 near (omega, x), with x real.
 
-    At the landing the tracked root meets its conjugate in a double real
-    root.  Phi(e^{i omega/2}, x) is real for real (omega, x) (M enters only
-    through M^2 + M^-2 = 2 cos omega), so the fold is a regular root of a
-    real 2x2 system in (x, omega), solved by Newton with a forward-difference
-    Jacobian.  Returns (omega, x), or None when Newton does not converge."""
-    from .riley import riley_phi_dphi_scalar
-
-    def residual(om: float, xr: float) -> tuple[float, float]:
-        M = omega_to_M(om)
-        phi, dphi, _ = riley_phi_dphi_scalar(knot.k, knot.n, M, complex(xr))
-        return phi.real, dphi.real
-
+    Where two real roots collide they form a double real root.
+    Phi(e^{i omega/2}, x) is real for real (omega, x) (M enters only through
+    M^2 + M^-2 = 2 cos omega), so the fold is a regular root of a real 2x2
+    system in (x, omega), solved by Newton with the analytic Jacobian of
+    ``_omega_jet``.  Returns (omega, x), or None when Newton does not
+    converge."""
     for _ in range(12):
-        hx, hw = 1e-7 * (1.0 + abs(x)), 1e-7
-        f0, f1 = residual(omega, x)
-        a0, a1 = residual(omega, x + hx)
-        b0, b1 = residual(omega + hw, x)
-        j00, j10 = (a0 - f0) / hx, (a1 - f1) / hx
-        j01, j11 = (b0 - f0) / hw, (b1 - f1) / hw
-        det = j00 * j11 - j01 * j10
+        f0, f1, j10, j01, j11 = map(float, _omega_jet(knot, omega, x, form))
+        det = f1 * j11 - j01 * j10  # the Jacobian is [[f1, j01], [j10, j11]]
         if det == 0.0 or not math.isfinite(det):
             return None
         dx = (j01 * f1 - j11 * f0) / det
-        dw = (j10 * f0 - j00 * f1) / det
+        dw = (j10 * f0 - f1 * f1) / det
         x, omega = x + dx, omega + dw
         if abs(dw) <= 1e-10 and abs(dx) <= 1e-10 * (1.0 + abs(x)):
             return float(omega), float(x)
     return None
 
 
-def _track_complex(
-    knot: KnotParam,
-    omega0: float,
-    z0: complex,
-    step: float,
-    emit,
-) -> tuple[float, float] | None:
-    """March the nonreal branch from (omega0, z0) toward pi, emitting samples.
+def dihedral_characters(knot: KnotParam) -> np.ndarray:
+    """The roots of Phi at omega = pi, ascending: z_j = 2 cos(2 pi j/|p|) for
+    j = (|p| - 1)/2, ..., 1, with p = 2kn - 1 (Klassen, Trans. AMS 326,
+    1991).  There are k|n| - [n > 0] of them, the degree of Phi in z."""
+    p = abs(2 * knot.k * knot.n - 1)
+    return 2.0 * np.cos(2.0 * np.pi * np.arange((p - 1) // 2, 0, -1) / p)
 
-    Predictor-corrector: linear extrapolation from the last two samples,
-    corrected by Newton on the structured evaluation of Phi (the expanded
-    coefficients lose the roots inside large-degree clusters, the structured
-    form does not).  A corrected point far from its prediction means the
-    Newton basin changed, so the step is halved.  Close to the real axis,
-    Im(z)^2 is linear in omega across the square-root collision; when its
-    secant reaches 0 within the step, or the corrector fails there, the
-    landing is solved for as a fold and returned as (alpha_K, real z).  None
-    means the branch stayed nonreal all the way to pi."""
-    om, z = omega0, z0
-    om_prev: float | None = None
-    z_prev: complex | None = None
-    h = step
-    while om < math.pi - 1e-12:
-        om_try = min(om + h, math.pi)
-        dom = om_try - om
-        scale = 1.0 + abs(z)
-        near_axis = abs(z.imag) < _CROSSING_IM_WINDOW * scale
-        om_cross = None  # where the Im(z)^2 secant reaches 0
-        if om_prev is not None and om > om_prev:
-            slope = (z - z_prev) / (om - om_prev)
-            pred = z + slope * dom
-            tol_move = max(5.0 * abs(slope) * dom, 2e-3 * scale)
-            d_im2 = z.imag * z.imag - z_prev.imag * z_prev.imag
-            if d_im2 < 0:
-                om_cross = om - z.imag * z.imag * (om - om_prev) / d_im2
-        else:
-            pred = z
-            tol_move = 0.05 * scale
-        crossing = near_axis and om_cross is not None and om_cross <= om_try
-        if crossing:
-            fold = _fold_point(knot, om_cross, (z + slope * (om_cross - om)).real)
-            if fold is not None and om < fold[0] <= om_try:
-                return fold
-        z_new, ok = _struct_root(knot, om_try, pred)
-        if ok and z.imag != 0 and z_new.imag * z.imag < 0:
-            # real coefficients: the conjugate is also a root; off the axis
-            # Im z cannot change sign, so stay on the incoming side
-            z_conj = z_new.conjugate()
-            if abs(z_conj - pred) <= abs(z_new - pred):
-                z_new = z_conj
-        # a corrected point on the real axis has passed the landing
-        if (
-            ok
-            and abs(z_new - pred) <= tol_move
-            and abs(z_new.imag) > REAL_IM_TOL * scale
-            and (z_new.imag * z.imag > 0 or imcond_value(knot, z_new) <= REAL_IM_TOL)
-        ):
-            om_prev, z_prev = om, z
-            om, z = om_try, z_new
-            emit(om, z)
-            h = min(step, 1.6 * h)
-            continue
-        # trouble: corrector jumped basins, diverged, or flipped branches
-        if near_axis and not crossing:
-            fold = _fold_point(knot, om_try, pred.real)
-            if fold is not None and om < fold[0] <= om_try:
-                return fold
-        if h > MIN_STEP:
-            h = max(0.25 * h, MIN_STEP)
-            continue
-        raise ContinuationAmbiguousError(
-            f"{knot}: continuation lost the branch near omega = {om_try:.6f} "
-            f"at the minimum step {MIN_STEP}"
+
+_FOLD_REACH = 2e-3  # a gap predicted to close within this omega arms the fold solve
+_SWEEP_MAX_STEP = 0.1
+
+
+def largest_fold(knot: KnotParam, form: str = "closed") -> Fold:
+    """alpha_K: the first collision of the real roots swept down from pi.
+
+    At pi the roots are the dihedral characters, all real and simple; Phi is
+    real for real (omega, z), so they stay real until two neighbours collide
+    in a fold and leave the axis as a conjugate pair.  Each step is an Euler
+    predictor dx/domega = -Phi_omega/Phi_z, at most a quarter of the omega
+    at which the fastest-closing gap reaches zero by linear extrapolation,
+    corrected by ``structured_polish``; it is accepted only if every root's
+    correction is below 0.1 of its distance to its neighbours and the order
+    is kept, and halved otherwise.  Once a gap is predicted to close within
+    ``_FOLD_REACH``, the fold is solved by ``_fold_point``.  Raises
+    NonHyperbolicError when there is a single character (the trefoil):
+    nothing can collide with it."""
+    if form not in ("closed", "recursive"):
+        raise ValueError(f"unknown form {form!r}")
+    x = dihedral_characters(knot)
+    if x.size < 2:
+        raise NonHyperbolicError(
+            knot, f"{knot}: a single real root at omega = pi never folds "
+            "(trefoil or non-hyperbolic parameters)"
         )
-    return None
+    om = math.pi
+    path = [(om, x)]
+    while om > 0.0:
+        _, phi_z, _, phi_om, _ = _omega_jet(knot, om, x, form)
+        v = -phi_om / phi_z  # dx/domega
+        gap = np.diff(x)
+        closing = v[1:] - v[:-1]  # rate at which a gap shrinks as omega falls
+        reach = np.full(gap.shape, np.inf)
+        np.divide(gap, closing, out=reach, where=closing > 0)
+        i = int(np.argmin(reach))
+        if reach[i] < _FOLD_REACH:
+            mid = 0.5 * (x[i] + x[i + 1] - reach[i] * (v[i] + v[i + 1]))
+            fold = _fold_point(knot, om - 0.5 * reach[i], mid, form)
+            if fold is not None and fold[0] < om and abs(fold[1] - mid) < gap[i]:
+                path = [(w, float(xs[i + 1])) for w, xs in path]
+                return Fold(*fold, x.size - 1 - i, path)
+        h = min(0.25 * reach[i], _SWEEP_MAX_STEP)
+        room = np.minimum(np.diff(x, prepend=-np.inf), np.diff(x, append=np.inf))
+        while True:
+            x_pred = x - h * v
+            x_new = structured_polish(knot, om - h, x_pred, form=form).real
+            if np.all(np.diff(x_new) > 0) and np.all(np.abs(x_new - x_pred) < 0.1 * room):
+                break
+            h *= 0.5
+            if h < MIN_STEP:
+                raise ContinuationAmbiguousError(
+                    f"{knot}: the sweep of the real roots stalled near omega = {om:.6f}"
+                )
+        om, x = om - h, x_new
+        path.append((om, x))
+    raise ContinuationAmbiguousError(f"{knot}: the real roots did not fold above omega = 0")
 
 
-def _nearest_real(roots: np.ndarray, z: complex, scale: float) -> complex | None:
-    reals = [complex(r) for r in roots if abs(r.imag) <= 1e-7 * scale]
-    if not reals:
-        return None
-    return min(reals, key=lambda r: (abs(r - z), r.real))
+def _track_down(
+    knot: KnotParam, alpha_K: float, x_K: float, omega_end: float, step: float, form: str
+) -> list[tuple[float, complex]]:
+    """The root leaving the fold (alpha_K, x_K), on the side with imcond <= 0,
+    followed in u = sqrt(alpha_K - omega) from the fold down to omega_end:
+    [(omega, z)] with omega descending.
 
-
-def _liftoff_pick(knot: KnotParam, roots: np.ndarray, zn: complex) -> complex:
-    """The member of the lifted conjugate pair satisfying the branch
-    inequality (pairs are exact conjugates since the coefficients are real)."""
-    if imcond_value(knot, zn) <= REAL_IM_TOL:
-        return zn
-    twin = _nearest(roots, zn.conjugate())
-    return twin if imcond_value(knot, twin) <= imcond_value(knot, zn) else zn
-
-
-def _track_real(
-    tracker: _Tracker, omega0: float, z0: complex, step: float, emit
-) -> tuple[float, complex] | None:
-    """Follow the real branch from (omega0, z0) toward pi.
-
-    The step ramps up from small (the real twins separate like a square root
-    just above a landing) to the base step.  Returns None when pi is reached
-    with the branch still real; returns (omega, complex z) when the followed
-    root collides with a real partner and lifts off the axis again (the
-    landing below was a kiss, not the Euclidean transition)."""
-    knot = tracker.knot
-    om, z = omega0, z0
-    h = step / 16.0
-    while om < math.pi - 1e-12:
-        om_try = min(om + h, math.pi)
-        roots = tracker.roots(om_try)
-        scale = 1.0 + abs(z)
-        zr = _nearest_real(roots, z, scale)
-        zn = _nearest(roots, z)
-        lifted = zr is None or (
-            abs(zn.imag) > 1e-7 * scale and abs(zn - z) < 0.4 * abs(zr - z)
-        )
-        if lifted:
-            if h > max(step / 64.0, MIN_STEP):
-                h = 0.5 * h
-                continue
-            # verify against the structured evaluation before believing a
-            # liftoff seen in the (noisier) expanded root set; one that does
-            # not verify is believed only when no real root is left to follow
-            z_cand = _liftoff_pick(knot, roots, zn)
-            z_ver, ok = _struct_root(knot, om_try, z_cand)
-            if ok and abs(z_ver.imag) > 1e-6 * scale:
-                if imcond_value(knot, z_ver) > REAL_IM_TOL and z_ver.imag > 0:
-                    z_ver = z_ver.conjugate()
-                return om_try, z_ver
-            if ok:
-                om, z = om_try, _snap_real(z_ver)
-                emit(om, z)
-                h = min(step, 1.5 * h)
-                continue
-            if zr is None:
-                return om_try, z_cand
-        om, z = om_try, _snap_real(zr)
-        emit(om, z)
-        h = min(step, 1.5 * h)
-    return None
-
-
-def _grid(omega0: float, step: float) -> np.ndarray:
-    n = max(1, int(math.ceil((math.pi - omega0) / step)))
-    omegas = omega0 + step * np.arange(n + 1)
-    omegas[-1] = math.pi
-    if omegas.size >= 2 and omegas[-1] - omegas[-2] < 0.25 * step:
-        omegas = np.delete(omegas, omegas.size - 2)
-    return omegas
-
-
-def _log_abs_L(knot: KnotParam, z: complex, M: complex) -> float:
-    from .volume import longitude_L  # deferred: volume imports solver
-
-    try:
-        L = longitude_L(knot, z, M)
-    except ArithmeticError:
-        return 0.0
-    mag = abs(L)
-    return math.log(mag) if mag > 0 else 0.0
-
-
-def _seed_candidates(knot: KnotParam, seed_roots: np.ndarray) -> list[tuple[complex, float]]:
-    """Nonreal seed roots obeying imcond <= 0 (ties resolved by Im z < 0)."""
-    zscale = 1.0 + float(np.max(np.abs(seed_roots)))
-    cands: list[tuple[complex, float]] = []
-    for zr in seed_roots:
-        zc = complex(zr)
-        if abs(zc.imag) <= 1e-7 * zscale:
+    Next to the fold Phi ~ Phi_omega (omega - alpha_K) + Phi_zz (z - x_K)^2/2,
+    so z ~ x_K +- i a u with a^2 = -2 Phi_omega/Phi_zz: the root is analytic
+    in u, and a linear predictor in u with step halving follows it.  Its
+    twin is the exact conjugate (Phi has real coefficients), so a corrected
+    point on the other side of the axis is conjugated back."""
+    _, _, phi_zz, phi_om, _ = _omega_jet(knot, alpha_K, x_K, form)
+    slope = 1j * math.sqrt(abs(2.0 * phi_om / phi_zz))  # dz/du at the fold
+    u_end = math.sqrt(alpha_K - omega_end)
+    u, z, h = 0.0, complex(x_K), step
+    samples = [(alpha_K, z)]
+    while u < u_end:
+        u_try = u_end if u_end - u < 1.5 * h else u + h  # no sliver of a last step
+        om = omega_end if u_try == u_end else alpha_K - u_try * u_try
+        pred = z + slope * (u_try - u)
+        z_new, ok = _struct_root(knot, om, pred, form=form)
+        if z_new.imag * pred.imag < 0:
+            z_new = z_new.conjugate()
+        # the correction must be small beside the predicted move, or at
+        # Newton's own accuracy where the root barely moves (omega -> 0)
+        if ok and abs(z_new - pred) <= 0.25 * abs(pred - z) + 1e-9 * (1.0 + abs(z)):
+            if len(samples) == 1 and imcond_value(knot, z_new) > 0:
+                z_new = z_new.conjugate()  # the first step picks the side
+            slope = (z_new - z) / (u_try - u)
+            u, z = u_try, z_new
+            samples.append((om, z))
+            h = min(step, 2.0 * h)
             continue
-        ic = imcond_value(knot, zc)
-        if ic < -1e-12 or (abs(ic) <= 1e-12 and zc.imag < 0):
-            if all(abs(zc - zprev) > 1e-9 for zprev, _ in cands):
-                cands.append((zc, ic))
-    return cands
+        h *= 0.5
+        if h < MIN_STEP:
+            raise ContinuationAmbiguousError(
+                f"{knot}: continuation lost the branch near omega = {om:.6f} "
+                f"at the minimum step {MIN_STEP}"
+            )
+    return samples
 
 
 def geometric_branch(
@@ -666,104 +513,36 @@ def geometric_branch(
     step: float = DEFAULT_STEP,
     form: str = "closed",
 ) -> Branch:
-    """Track the geometric root of Phi(e^{i omega/2}, .) over [alpha, pi].
+    """The geometric root of Phi(e^{i omega/2}, .) over [min(alpha, 0.1), pi].
 
-    Seeds at omega_0 = min(alpha, 0.1) among nonreal roots with imcond <= 0;
-    when several qualify, each is walked over a shared coarse grid and the
-    one with the largest trapezoid volume score is kept (all candidates are
-    reported in Branch.candidates).  Raises NonHyperbolicError when the seed
-    polynomial has no nonreal root.
+    alpha_K and the real branch above it are the fold of ``largest_fold``;
+    below alpha_K the root leaving that fold on the side with imcond <= 0 is
+    tracked in u = sqrt(alpha_K - omega) down to the seed angle
+    min(alpha, 0.1), in u-steps of at most ``step``.  Branch.candidates holds
+    the tracked root at the seed angle.  Raises NonHyperbolicError for the
+    trefoil.
     """
     if not (0.0 < alpha <= math.pi):
         raise ValueError(f"alpha must lie in (0, pi], got {alpha}")
-    omega0 = min(alpha, 0.1)
-    omegas = _grid(omega0, step)
-
-    tracker = _Tracker(knot, form)
-    roots_list = [tracker.roots(float(w)) for w in omegas]
-
-    cands = _seed_candidates(knot, roots_list[0])
-    if not cands:
-        raise NonHyperbolicError(
-            knot, branch=Branch(knot=knot, hyperbolic=False, step=step, form=form)
-        )
-
-    # coarse score: trapezoid of max(log|L|, 0) along a guard-free walk
-    scores = []
-    for z0, _ in cands:
-        z_cur = z0
-        vals = []
-        for i, roots in enumerate(roots_list):
-            if i > 0:
-                z_cur = _nearest(roots, z_cur)
-            if abs(z_cur.imag) <= REAL_IM_TOL * (1.0 + abs(z_cur)):
-                vals.append(0.0)
-            else:
-                vals.append(
-                    max(_log_abs_L(knot, z_cur, omega_to_M(float(omegas[i]))), 0.0)
-                )
-        scores.append(float(np.trapezoid(vals, omegas)))
-
-    order = sorted(
-        range(len(cands)),
-        key=lambda i: (-scores[i], cands[i][1], cands[i][0].real, cands[i][0].imag),
-    )
-    winner = order[0]
-    candidates = [
-        SeedCandidate(
-            z=cands[i][0],
-            imcond=cands[i][1],
-            coarse_volume=scores[i],
-            selected=(i == winner),
-        )
-        for i in range(len(cands))
+    fold = largest_fold(knot, form)
+    below = _track_down(knot, fold.alpha_K, fold.x_K, min(alpha, 0.1), step, form)
+    samples = below[::-1] + [(om, complex(x)) for om, x in reversed(fold.path)]
+    points = [
+        BranchPoint(om, omega_to_M(om), z, imcond_value(knot, z)) for om, z in samples
     ]
-
-    branch = Branch(knot=knot, step=step, form=form, candidates=candidates)
-
-    def emit(om: float, z: complex) -> None:
-        branch.points.append(
-            BranchPoint(om, omega_to_M(om), z, imcond_value(knot, z))
-        )
-
-    z_seed = cands[winner][0]
-    emit(float(omegas[0]), z_seed)
-
-    # alternate complex and real tracking: a landing followed by a liftoff
-    # was a kiss of the real axis, not the Euclidean transition
-    om_cur, z_cur = float(omegas[0]), z_seed
-    alpha_K: float | None = None
-    for _ in range(64):
-        if om_cur >= math.pi - 1e-12:
-            break
-        if abs(z_cur.imag) > 1e-7 * (1.0 + abs(z_cur)):
-            landing = _track_complex(knot, om_cur, z_cur, step, emit)
-            if landing is None:
-                alpha_K = None
-                break
-            alpha_K, x = landing
-            om_cur, z_cur = alpha_K, complex(x, 0.0)
-            emit(om_cur, z_cur)
-        else:
-            lift = _track_real(tracker, om_cur, z_cur, step, emit)
-            if lift is None:
-                break
-            om_cur, z_cur = lift
-            alpha_K = None
-            emit(om_cur, z_cur)
-    branch.alpha_K = alpha_K
-    return branch
+    seed = SeedCandidate(points[0].z, points[0].imcond, selected=True)
+    return Branch(
+        knot=knot, points=points, alpha_K=fold.alpha_K, candidates=[seed],
+        step=step, form=form,
+    )
 
 
-def find_alpha_K(
-    knot: KnotParam, step: float = 0.02, branch: Branch | None = None
-) -> float:
-    """Euclidean transition angle: the angle at which the tracked geometric
-    root becomes real.  Expected in [2pi/3 - eps, pi) for hyperbolic knots."""
+def find_alpha_K(knot: KnotParam, branch: Branch | None = None) -> float:
+    """Euclidean transition angle: the largest fold of the real roots below
+    pi (``largest_fold``), or the fold of ``branch``.  Expected in
+    [2pi/3 - eps, pi) for hyperbolic knots."""
     if branch is None:
-        branch = geometric_branch(knot, alpha=0.1, step=step)
+        return largest_fold(knot).alpha_K
     if branch.alpha_K is None:
-        raise ArithmeticError(
-            f"{knot}: tracked branch never reached the real axis below pi"
-        )
+        raise ArithmeticError(f"{knot}: branch has no fold below pi")
     return branch.alpha_K

@@ -7,28 +7,32 @@ alpha_K, log|L| grows like sqrt(alpha_K - omega) (the branch leaves the real
 axis in a square-root fold), so the integral is taken in u = sqrt(alpha_K -
 omega), where the integrand 2u log|L|(alpha_K - u^2) is smooth at both ends:
 Vol(alpha) = integral over [0, sqrt(alpha_K - alpha)] of that, for every
-alpha >= 0.  Adaptive Gauss-Kronrod panels evaluate it; an adaptive Simpson
-rule is available as an independent cross-check.
+alpha >= 0.  The branch is tracked in the same u (``solver.geometric_branch``)
+and evaluated between its samples by interpolation in u plus structured
+Newton.  Adaptive Gauss-Kronrod panels evaluate the integral; an adaptive
+Simpson rule is available as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chebyshev import eval_pair
 from .solver import (
+    DEFAULT_STEP,
     Branch,
     BranchPoint,
+    ContinuationAmbiguousError,
     SeedCandidate,
     _struct_root,
     geometric_branch,
     imcond_value,
     omega_to_M,
-    phi_coeffs,
-    roots_of_coeffs,
+    roots_of_coeffs,  # unused here; perfbench/tracing.py wraps this binding
 )
 from .words import KnotParam
 
@@ -101,34 +105,32 @@ def integrand(knot: KnotParam, bp: BranchPoint) -> float:
 
 
 class _BranchEvaluator:
-    """z(omega) between branch samples: linear predictor + Newton correction
-    on the structured evaluation of Phi, with a full root solve as fallback
-    and a conjugate flip enforcing the branch inequality (legitimate because
-    the coefficients are real)."""
+    """z(omega) below alpha_K: the branch samples interpolated linearly in
+    u = sqrt(alpha_K - omega), where the root is analytic, then Newton on the
+    structured evaluation of Phi.  The twin of the root is its exact
+    conjugate (Phi has real coefficients), so the result is kept on the
+    branch's side of the real axis."""
 
     def __init__(self, branch: Branch):
         self.branch = branch
         self.knot = branch.knot
+        below = [bp for bp in reversed(branch.points) if bp.omega <= branch.alpha_K]
+        self.us = [math.sqrt(branch.alpha_K - bp.omega) for bp in below]
+        self.zs = [bp.z for bp in below]
 
     def z_at(self, omega: float) -> complex:
-        br = self.branch
-        lo, hi = br.bracket(omega)
-        if hi.omega == lo.omega:
-            z_pred = lo.z
-        else:
-            t = (omega - lo.omega) / (hi.omega - lo.omega)
-            z_pred = lo.z + t * (hi.z - lo.z)
-        z, ok = _struct_root(self.knot, omega, z_pred)
-        span = abs(hi.z - lo.z) + abs(hi.omega - lo.omega)
-        if not ok or abs(z - z_pred) > 4.0 * span + 1e-3:
-            c = phi_coeffs(self.knot, omega, br.form)
-            roots = roots_of_coeffs(c)
-            z = complex(roots[int(np.argmin(np.abs(roots - z_pred)))])
-            z, _ = _struct_root(self.knot, omega, z)
-        if imcond_value(self.knot, z) > 1e-9 and z.imag > 0:
-            zc, ok_c = _struct_root(self.knot, omega, z.conjugate())
-            if ok_c:
-                z = zc
+        us, zs = self.us, self.zs
+        u = math.sqrt(self.branch.alpha_K - omega)
+        i = min(max(bisect_left(us, u), 1), len(us) - 1)
+        z_pred = zs[i - 1] + (u - us[i - 1]) / (us[i] - us[i - 1]) * (zs[i] - zs[i - 1])
+        z, ok = _struct_root(self.knot, omega, z_pred, form=self.branch.form)
+        if z.imag * zs[-1].imag < 0:
+            z = z.conjugate()
+        if not ok or abs(z - z_pred) > abs(zs[i] - zs[i - 1]) + 1e-9 * (1.0 + abs(z)):
+            raise ContinuationAmbiguousError(
+                f"{self.knot}: Newton from the branch samples did not settle on "
+                f"the branch at omega = {omega:.6f}"
+            )
         return z
 
     def point_at(self, omega: float) -> BranchPoint:
@@ -296,7 +298,6 @@ class VolumeResult:
                 {
                     "z": [c.z.real, c.z.imag],
                     "imcond": c.imcond,
-                    "coarse_volume": c.coarse_volume,
                     "selected": c.selected,
                 }
                 for c in self.branch_diagnostics
@@ -355,7 +356,7 @@ def cone_volume(
     alpha: float,
     tol: float = 1e-9,
     *,
-    step: float | None = None,
+    step: float = DEFAULT_STEP,
     rule: str = "gk",
     form: str = "closed",
     branch: Branch | None = None,
@@ -366,7 +367,7 @@ def cone_volume(
     taken over u = sqrt(alpha_K - omega) in [0, sqrt(alpha_K - alpha)], with
     alpha_K the fold where the branch lands on the real axis.  tol is the
     absolute quadrature tolerance.  step/rule/form select the continuation
-    step, the quadrature rule ("gk" or "simpson"), and the Riley construction
+    step in u, the quadrature rule ("gk" or "simpson"), and the Riley construction
     route ("closed" or "recursive") for cross-validation runs.
     """
     if not (0.0 <= alpha <= math.pi):
@@ -374,10 +375,8 @@ def cone_volume(
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
     if branch is None:
-        branch = geometric_branch(
-            knot, seed_angle(alpha), step=step if step is not None else 0.005, form=form
-        )
-    alpha_K = branch.alpha_K if branch.alpha_K is not None else math.pi
+        branch = geometric_branch(knot, seed_angle(alpha), step=step, form=form)
+    alpha_K = branch.alpha_K
     ev = _BranchEvaluator(branch)
     _spot_check_real_regime(ev, alpha_K)
     if alpha >= alpha_K:
@@ -399,7 +398,7 @@ def volume_curve(
     alphas,
     tol: float = 1e-9,
     *,
-    step: float | None = None,
+    step: float = DEFAULT_STEP,
     rule: str = "gk",
     form: str = "closed",
 ) -> list[VolumeResult]:
@@ -411,9 +410,7 @@ def volume_curve(
         return []
     if any(not (0.0 <= a <= math.pi) for a in alphas):
         raise ValueError("each alpha must lie in [0, pi]")
-    branch = geometric_branch(
-        knot, seed_angle(alphas[0]), step=step if step is not None else 0.005, form=form
-    )
+    branch = geometric_branch(knot, seed_angle(alphas[0]), step=step, form=form)
     return [
         cone_volume(knot, a, tol, step=step, rule=rule, form=form, branch=branch)
         for a in alphas

@@ -13,6 +13,7 @@ from dtvol.riley import (
     riley_odd,
     riley_phi_dphi,
     riley_phi_dphi_scalar,
+    riley_phi_jet,
     riley_recursive,
     riley_zpoly,
 )
@@ -127,15 +128,16 @@ def test_phi_dphi_structured_evaluation():
     for k, n in [(2, -1), (5, 3), (8, -4)]:
         M = complex(rng.uniform(0.6, 1.2), rng.uniform(-0.4, 0.4))
         zs = rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8)
-        phi, dphi, _ = riley_phi_dphi(k, n, M, zs)
         p = riley_zpoly(k, n, M)
         dp = p.deriv()
-        for z, f, df in zip(zs, phi, dphi):
-            assert f == pytest.approx(p(complex(z)), rel=1e-8, abs=1e-9)
-            assert df == pytest.approx(dp(complex(z)), rel=1e-7, abs=1e-8)
-            fs, dfs, _ = riley_phi_dphi_scalar(k, n, M, complex(z))
-            assert fs == pytest.approx(f, rel=1e-13, abs=1e-13)
-            assert dfs == pytest.approx(df, rel=1e-13, abs=1e-13)
+        for form in ("closed", "recursive"):
+            phi, dphi, _ = riley_phi_dphi(k, n, M, zs, form)
+            for z, f, df in zip(zs, phi, dphi):
+                assert f == pytest.approx(p(complex(z)), rel=1e-8, abs=1e-9)
+                assert df == pytest.approx(dp(complex(z)), rel=1e-7, abs=1e-8)
+                fs, dfs, _ = riley_phi_dphi_scalar(k, n, M, complex(z), form)
+                assert fs == pytest.approx(f, rel=1e-13, abs=1e-13)
+                assert dfs == pytest.approx(df, rel=1e-13, abs=1e-13)
 
 
 def test_affine_pieces_match_closed_form():
@@ -156,6 +158,8 @@ def test_affine_pieces_match_closed_form():
 
 
 def test_phi_dphi_scalar_matches_recursive():
+    # both routes of the structured kernel: the closed form, and the
+    # recurrence from (P_0, P_1) with P_1 = p0 + c2 p1
     rng = np.random.default_rng(32)
     for k in range(2, 20):
         for _ in range(3):
@@ -163,8 +167,40 @@ def test_phi_dphi_scalar_matches_recursive():
             for M in (pt.M, pt.M / abs(pt.M)):
                 for n in range(-10, 11):
                     phi, _, scale = riley_phi_dphi_scalar(k, n, M, pt.z)
+                    rec, _, _ = riley_phi_dphi_scalar(k, n, M, pt.z, form="recursive")
                     ref = riley_recursive(k, n, RepPoint(M, pt.z))
                     assert abs(phi - ref) <= 1e-9 * scale, (k, n, M)
+                    assert abs(rec - ref) <= 1e-9 * scale, (k, n, M)
+
+
+def test_omega_column_matches_central_difference():
+    # dPhi/domega = dPhi/dc2 * (-2 sin omega), c2 = 2 cos omega, from
+    # riley_phi_jet, against a central difference of riley_phi_dphi in omega;
+    # likewise the mixed and second z-derivatives against differences of
+    # dPhi/dz
+    rng = np.random.default_rng(34)
+    h = 1e-6
+    for k in range(2, 20, 3):
+        for n in (-7, -2, 1, 4, 10):
+            for form in ("closed", "recursive"):
+                om = rng.uniform(0.2, 3.0)
+                z = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+                jet = riley_phi_jet(k, n, 2 * np.cos(om), z, form)
+                phi, dphi, scale = riley_phi_dphi(k, n, np.exp(0.5j * om), z, form)
+                assert abs(jet[0] - phi) <= 1e-12 * scale
+                assert abs(jet[1] - dphi) <= 1e-12 * (abs(dphi) + scale)
+                up = riley_phi_dphi(k, n, np.exp(0.5j * (om + h)), z, form)
+                down = riley_phi_dphi(k, n, np.exp(0.5j * (om - h)), z, form)
+                col = jet[3] * (-2 * np.sin(om))
+                fd = (up[0] - down[0]) / (2 * h)
+                assert abs(fd - col) <= 1e-5 * (abs(col) + scale), (k, n, form)
+                fd = (up[1] - down[1]) / (2 * h)
+                col = jet[4] * (-2 * np.sin(om))
+                assert abs(fd - col) <= 1e-5 * (abs(col) + abs(dphi) + scale), (k, n, form)
+                right = riley_phi_dphi(k, n, np.exp(0.5j * om), z + h, form)
+                left = riley_phi_dphi(k, n, np.exp(0.5j * om), z - h, form)
+                fd = (right[1] - left[1]) / (2 * h)
+                assert abs(fd - jet[2]) <= 1e-5 * (abs(jet[2]) + abs(dphi) + scale), (k, n, form)
 
 
 def test_kernel_built_once_per_knot():

@@ -84,7 +84,6 @@ def test_imcond_examples():
 
 def test_branch_figure_eight_seed():
     br = geometric_branch(FIG8, alpha=1e-4)
-    assert br.hyperbolic
     assert len(br.candidates) == 1
     cand = br.candidates[0]
     assert cand.selected

@@ -177,6 +177,8 @@ def test_cone_volume_validates_input():
         cone_volume(FIG8, -0.2, 1e-9)
     with pytest.raises(ValueError):
         cone_volume(FIG8, 1.0, 1e-13)
+    with pytest.raises(ValueError):
+        cone_volume(FIG8, 1.0, 1e-9, form="nope")
 
 
 def test_volume_result_json_shape():
