@@ -39,7 +39,7 @@ from .solver import (
     find_alpha_K,
     geometric_branch,
     imcond_value,
-    poly_roots,
+    riley_roots,
 )
 from .volume import (
     DegenerateLongitudeError,
@@ -100,7 +100,7 @@ __all__ = [
     "SeedCandidate",
     "NonHyperbolicError",
     "ContinuationAmbiguousError",
-    "poly_roots",
+    "riley_roots",
     "imcond_value",
     "geometric_branch",
     "find_alpha_K",

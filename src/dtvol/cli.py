@@ -34,9 +34,10 @@ from .solver import (
     find_alpha_K,
     geometric_branch,
     omega_to_M,
-    poly_roots,
+    riley_roots,
 )
 from .volume import (
+    MIN_TOL,
     QuadratureNotConvergedError,
     branch_csv_rows,
     cone_volume,
@@ -58,13 +59,32 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse the CLI complex format "re,im" (or a bare real part)."""
+    """Parse the CLI complex format "re,im" (or a bare real part); both parts
+    must be finite numbers."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) != 2:
+    try:
+        if len(parts) > 2:
+            raise ValueError
+        z = complex(*map(float, parts))
+    except ValueError:
         raise click.UsageError(f"complex values are 're,im', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise click.UsageError(f"complex values must be finite, got {text!r}")
+    return z
+
+
+def _finite(ctx, param, value):
+    """Option callback: NaN and infinities are usage errors."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"must be a finite number, got {value}")
+    return value
+
+
+def _tolerance(ctx, param, value):
+    """Option callback: a finite tolerance >= MIN_TOL (NaN fails the test)."""
+    if not MIN_TOL <= value < math.inf:
+        raise click.BadParameter(f"must be a finite number >= {MIN_TOL:g}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +263,7 @@ def riley(k: int, n: int, m_text: str, zpoly: bool, z_texts: tuple[str, ...], no
 @main.command()
 @common_options
 @click.option("--M", "m_text", default=None, help="meridian eigenvalue, 're,im'")
-@click.option("--omega", type=float, default=None, help="cone angle; sets M = e^{i omega/2}")
+@click.option("--omega", type=float, default=None, callback=_finite, help="cone angle; sets M = e^{i omega/2}")
 def roots(k: int, n: int, m_text: str | None, omega: float | None, no_cache: bool) -> None:
     """All roots of Phi(M, .), as a JSON array of [re, im] pairs."""
     knot = _knot_params(k, n)
@@ -255,11 +275,11 @@ def roots(k: int, n: int, m_text: str | None, omega: float | None, no_cache: boo
     params = {"k": knot.k, "n": knot.n, "M": _complex_pair(M)}
 
     def compute():
-        rts = poly_roots(riley_zpoly(knot.k, knot.n, M))
+        rts = riley_roots(knot, M)
         ordered = sorted(map(complex, rts), key=lambda z: (z.real, z.imag))
         return json.dumps([_complex_pair(z) for z in ordered]) + "\n", {}
 
-    _run_cached("roots", params, compute, no_cache)
+    _run_with_numeric_errors("roots", params, compute, no_cache)
 
 
 def _volume_payload(result) -> str:
@@ -283,7 +303,7 @@ def _branch_csv(branch) -> str:
 @main.command()
 @common_options
 @click.option("--alpha", type=float, default=0.0, show_default=True, help="cone angle in radians (0 = complete structure)")
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="quadrature tolerance")
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_tolerance, help="quadrature tolerance, >= 1e-12")
 @click.option("--curve", "curve_path", type=click.Path(dir_okay=False), default=None, help="also write a volume-curve CSV here (plus a .branch.csv)")
 @click.option("--samples", type=int, default=50, show_default=True, help="number of curve samples")
 def volume(k: int, n: int, alpha: float, tol: float, curve_path: str | None, samples: int, no_cache: bool) -> None:
@@ -324,7 +344,7 @@ def volume(k: int, n: int, alpha: float, tol: float, curve_path: str | None, sam
 @click.option("--alpha-min", type=float, default=1e-4, show_default=True)
 @click.option("--alpha-max", type=float, default=math.pi, show_default="pi")
 @click.option("--samples", type=int, default=50, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_tolerance, help="quadrature tolerance, >= 1e-12")
 @click.option("-o", "out_path", type=click.Path(dir_okay=False), required=True, help="output CSV path")
 def curve(k: int, n: int, alpha_min: float, alpha_max: float, samples: int, tol: float, out_path: str, no_cache: bool) -> None:
     """Volume curve over an alpha grid, written as CSV (alpha,volume,quad_error)."""

@@ -48,8 +48,8 @@ from .slrep import Mat2C, RepPoint
 from .words import KnotParam
 from .zpoly import X, ZPoly, const
 
-# Conditioning envelope: beyond this the coefficient construction still runs
-# but root-finding accuracy degrades; a warning is emitted.
+# Validated envelope: beyond it every route still runs, but its results have
+# not been checked; ``warn_outside_envelope`` emits a ConditioningWarning.
 DESK_MAX_K = 19
 DESK_MAX_ABS_N = 10
 
@@ -231,18 +231,22 @@ def riley_zpoly(k: int, n: int, M: complex, form: str = "closed") -> ZPoly:
     else:
         raise ValueError(f"unknown form {form!r}")
 
+    warn_outside_envelope(k, n)
+    return phi
+
+
+def warn_outside_envelope(k: int, n: int) -> None:
+    """ConditioningWarning when J(k,2n) lies outside the validated envelope;
+    every numeric route (coefficients, roots, alpha_K and volumes) calls this
+    once per request."""
     if k > DESK_MAX_K or abs(n) > DESK_MAX_ABS_N:
-        coeffs = phi.coeffs
-        lead = abs(coeffs[-1]) if coeffs.size else 0.0
-        ratio = float(np.max(np.abs(coeffs)) / lead) if lead else np.inf
         warnings.warn(
             f"(k={k}, n={n}) is outside the validated envelope "
-            f"(k <= {DESK_MAX_K}, |n| <= {DESK_MAX_ABS_N}); "
-            f"coefficient ratio max|c|/|lead| = {ratio:.2e}",
+            f"(k <= {DESK_MAX_K}, |n| <= {DESK_MAX_ABS_N}); results there "
+            "are not checked",
             ConditioningWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return phi
 
 
 @lru_cache(maxsize=None)
@@ -276,15 +280,14 @@ def _walk(t, dt, a, da, am, dam, steps: int):
     return a, da, am, dam
 
 
-def _phi_dphi(parts, n: int, M: complex, z, form: str = "closed"):
-    """(Phi, dPhi/dz, scale) at z from one knot's pieces (``_eval_parts``):
-    t = t0(z) + c2 t1(z) and d, P_1 likewise.  form="closed" gives
-    Phi = S_n(t) - d S_{n-1}(t) from (S_0, S_-1) = (1, 0); form="recursive"
-    runs P_j = t P_{j-1} - P_{j-2} from (P_0, P_1) = (1, P_1), an independent
-    route to the same value.  Runs unchanged on a Python complex z and on a
-    numpy array of z."""
+def _phi_dphi(parts, n: int, c2: complex, z, form: str = "closed"):
+    """(Phi, dPhi/dz, scale) at (c2, z) from one knot's pieces
+    (``_eval_parts``): t = t0(z) + c2 t1(z) and d, P_1 likewise.
+    form="closed" gives Phi = S_n(t) - d S_{n-1}(t) from (S_0, S_-1) =
+    (1, 0); form="recursive" runs P_j = t P_{j-1} - P_{j-2} from
+    (P_0, P_1) = (1, P_1), an independent route to the same value.  Runs
+    unchanged on a Python complex z and on a numpy array of z."""
     t0, t1, d0, d1, p0, p1, dt0, dt1, dd0, dd1, dp0, dp1 = parts[:12]
-    c2 = _m2_sum(complex(M))
     t = _horner(t0, z) + c2 * _horner(t1, z)
     dt = _horner(dt0, z) + c2 * _horner(dt1, z)
     if form == "recursive":
@@ -312,7 +315,7 @@ def riley_phi_dphi_scalar(
     k: int, n: int, M: complex, z: complex, form: str = "closed"
 ) -> tuple[complex, complex, float]:
     """Scalar version of riley_phi_dphi (pure Python, no array overhead)."""
-    return _phi_dphi(_eval_parts_py(k), n, M, complex(z), form)
+    return _phi_dphi(_eval_parts_py(k), n, _m2_sum(complex(M)), complex(z), form)
 
 
 def riley_phi_dphi(k: int, n: int, M: complex, z, form: str = "closed"):
@@ -325,7 +328,9 @@ def riley_phi_dphi(k: int, n: int, M: complex, z, form: str = "closed"):
     instead.  The scale output is the natural magnitude of the expression,
     for roundoff-floor tests on |Phi|.
     """
-    return _phi_dphi(_eval_parts(k), n, M, np.asarray(z, dtype=complex), form)
+    return _phi_dphi(
+        _eval_parts(k), n, _m2_sum(complex(M)), np.asarray(z, dtype=complex), form
+    )
 
 
 def _jmul(f, g):

@@ -1,5 +1,5 @@
-"""The geometric branch of the Riley polynomial across cone angles, and the
-expanded-coefficient root solver behind ``dtvol roots``.
+"""The roots of the Riley polynomial: the geometric branch across cone
+angles, and every root at one M (``riley_roots``, behind ``dtvol roots``).
 
 At omega = pi (M = i, c2 = -2) the roots of Phi are known in closed form:
 the dihedral characters z_j = 2 cos(2 pi j/|p|), p = 2kn - 1 (Klassen,
@@ -14,26 +14,24 @@ the branch inequality imcond <= 0 in u = sqrt(alpha_K - omega), where it is
 analytic, from the fold down to the seed angle; above alpha_K the branch is
 the swept real root.  Every Newton step runs on the structured evaluation of
 Phi (``riley.riley_phi_dphi``), which keeps full relative accuracy inside
-the root clusters where the expanded coefficients do not.
+the root clusters where the expanded coefficients do not.  ``riley_roots``
+tracks all the characters in c2 = M^2 + M^-2, off the real axis, to any M.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .chebyshev import eval_pair
-from .riley import riley_zpoly
+from .riley import riley_zpoly, warn_outside_envelope
 from .words import KnotParam
-from .zpoly import ZPoly
 
 DEFAULT_STEP = 0.005
 MIN_STEP = 1e-6
-BACKWARD_ERROR_TOL = 1e-10
 
 
 class NonHyperbolicError(ValueError):
@@ -46,180 +44,6 @@ class NonHyperbolicError(ValueError):
 
 class ContinuationAmbiguousError(RuntimeError):
     """A sweep or continuation step could not be verified at the minimum step."""
-
-
-# ---------------------------------------------------------------------------
-# polynomial roots
-# ---------------------------------------------------------------------------
-
-
-def _eval_pair_many(c_asc, x):
-    """(p(x), p'(x)) at many points via a cumulative power matrix.
-
-    Two BLAS matvecs instead of a coefficient-length Python loop; the error
-    bound is the same eps * sum |c_j||x|^j class as Horner."""
-    x = np.asarray(x, dtype=complex)
-    n = c_asc.size
-    powers = np.empty((n, x.size), dtype=complex)
-    powers[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if n > 1:
-            np.multiply.accumulate(
-                np.broadcast_to(x, (n - 1, x.size)), axis=0, out=powers[1:]
-            )
-        p = c_asc @ powers
-        dp = (c_asc[1:] * np.arange(1, n)) @ powers[:-1]
-    return p, dp
-
-
-def _residuals_ok(c_asc, x, factor: float = 64.0) -> bool:
-    """True when every |p(x_i)| is at the evaluation roundoff floor
-    eps * sum_j |c_j||x_i|^j, i.e. the points are roots to working precision."""
-    x = np.asarray(x, dtype=complex)
-    n = c_asc.size
-    powers = np.empty((n, x.size), dtype=complex)
-    powers[0] = 1.0
-    if n > 1:
-        np.multiply.accumulate(
-            np.broadcast_to(x, (n - 1, x.size)), axis=0, out=powers[1:]
-        )
-    p = np.abs(c_asc @ powers)
-    scale = np.abs(c_asc) @ np.abs(powers)
-    eps = np.finfo(float).eps
-    return bool(np.all(p <= factor * eps * np.maximum(scale, np.finfo(float).tiny)))
-
-
-def _newton_polish(c_asc, x, iters=2):
-    """Guarded Newton steps; keeps an update only if it shrinks |p|."""
-    x = np.array(x, dtype=complex)
-    pv, _ = _eval_pair_many(c_asc, x)
-    for _ in range(iters):
-        _, dv = _eval_pair_many(c_asc, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = pv / dv
-        step[~np.isfinite(step)] = 0.0
-        x_new = x - step
-        pv_new, _ = _eval_pair_many(c_asc, x_new)
-        better = np.abs(pv_new) < np.abs(pv)
-        x = np.where(better, x_new, x)
-        pv = np.where(better, pv_new, pv)
-    return x
-
-
-def _aberth(c_asc, x0, max_iter=60, tol=1e-14):
-    """Simultaneous Aberth-Ehrlich iteration from the guesses x0."""
-    x = np.array(x0, dtype=complex)
-    n = x.size
-    # all roots lie within the Fujiwara bound; clamp strays so powers of
-    # diverging iterates cannot overflow
-    clamp = 4.0 * float(np.max(np.abs(x0))) + 16.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            pv, dv = _eval_pair_many(c_asc, x)
-            newton = pv / dv
-            newton[~np.isfinite(newton)] = 0.0
-            diff = x[:, None] - x[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repel = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - newton * repel
-            step = newton / denom
-            fallback = ~np.isfinite(step)
-            step[fallback] = newton[fallback]
-            step[~np.isfinite(step)] = 0.0
-            x = x - step
-            far = np.abs(x) > clamp
-            if far.any():
-                x[far] = clamp * x[far] / np.abs(x[far])
-            if n == 0 or np.max(np.abs(step) / (1.0 + np.abs(x))) < tol:
-                return x, True
-    return x, False
-
-
-def _initial_circle(c_asc):
-    """Fujiwara-bound radius, angles offset to avoid symmetry stalls."""
-    deg = c_asc.size - 1
-    lead = abs(c_asc[-1])
-    mags = np.abs(c_asc[-2::-1]) / lead  # |c_{deg-i}/c_deg| for i = 1..deg
-    mags[-1] *= 0.5
-    with np.errstate(divide="ignore"):
-        radii = mags ** (1.0 / np.arange(1, deg + 1))
-    radius = 2.0 * float(np.max(radii)) if np.any(mags > 0) else 1.0
-    radius = max(radius, 1e-8)
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.25) / deg + 0.43
-    return radius * np.exp(1j * angles)
-
-
-def max_backward_error(coeffs, roots) -> float:
-    """max |p(root)| / (max|coeff| * max(1,|root|)^deg); constant-first coeffs."""
-    if len(roots) == 0:
-        return 0.0
-    c = np.asarray(coeffs, dtype=complex)
-    vals = np.abs(_eval_pair_many(c, np.asarray(roots, dtype=complex))[0])
-    deg = c.size - 1
-    bound = np.maximum(1.0, np.abs(roots)) ** deg
-    return float(np.max(vals / (np.max(np.abs(c)) * bound)))
-
-
-def roots_of_coeffs(coeffs) -> np.ndarray:
-    """All roots of the polynomial given constant-first coefficients.
-
-    Aberth iteration from a Fujiwara circle, Newton-polished; falls back to
-    companion-matrix eigenvalues if the iteration stalls.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.size < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    if c[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-
-    # exact zero constant terms peel off roots at the origin
-    nzeros = 0
-    while c[nzeros] == 0:
-        nzeros += 1
-    c = c[nzeros:]
-    deg = c.size - 1
-
-    if deg == 0:
-        roots = np.empty(0, dtype=complex)
-    elif deg == 1:
-        roots = np.array([-c[0] / c[1]])
-    elif deg == 2:
-        a, b, cc = c[2], c[1], c[0]
-        disc = b * b - 4.0 * a * cc
-        sq = np.sqrt(disc)
-        if (np.conj(b) * sq).real < 0:
-            sq = -sq
-        q = -0.5 * (b + sq)
-        r1 = q / a
-        r2 = cc / q if q != 0 else r1
-        roots = np.array([r1, r2])
-    else:
-        cand, _ = _aberth(c, _initial_circle(c))
-        cand = _newton_polish(c, cand)
-        if _residuals_ok(c, cand) and np.all(np.isfinite(cand)):
-            roots = cand
-        else:
-            roots = _newton_polish(c, np.roots(c[::-1]))
-
-    if nzeros:
-        roots = np.concatenate([roots, np.zeros(nzeros, dtype=complex)])
-    return roots
-
-
-def poly_roots(p: ZPoly) -> np.ndarray:
-    """All complex roots (with multiplicity) of a nonconstant polynomial."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no well-defined roots")
-    if p.degree < 1:
-        raise ValueError("constant polynomial has no roots")
-    roots = roots_of_coeffs(p.coeffs)
-    err = max_backward_error(p.coeffs, roots)
-    if err > BACKWARD_ERROR_TOL:
-        raise ArithmeticError(
-            f"root refinement failed: backward error {err:.2e} exceeds "
-            f"{BACKWARD_ERROR_TOL:.0e}"
-        )
-    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +64,12 @@ def phi_coeffs(knot: KnotParam, omega: float, form: str = "closed") -> np.ndarra
     if scale > 0 and np.max(np.abs(c.imag)) <= 1e-12 * scale:
         c = c.real.astype(complex)
     return c
+
+
+def roots_of_coeffs(coeffs) -> np.ndarray:
+    """Roots of constant-first coefficients by ``np.roots``: the tests' oracle
+    over the expanded polynomial, kept by name for perfbench/tracing.py."""
+    return np.roots(np.asarray(coeffs)[::-1])
 
 
 def imcond_value(knot: KnotParam, z: complex) -> float:
@@ -289,10 +119,6 @@ class Branch:
     @property
     def omegas(self) -> list[float]:
         return [p.omega for p in self.points]
-
-    def point_at_or_below(self, omega: float) -> BranchPoint:
-        idx = bisect_left(self.omegas, omega + 1e-300)
-        return self.points[max(0, min(idx, len(self.points)) - 1)]
 
 
 class Fold(NamedTuple):
@@ -425,6 +251,7 @@ def largest_fold(knot: KnotParam, form: str = "closed") -> Fold:
     nothing can collide with it."""
     if form not in ("closed", "recursive"):
         raise ValueError(f"unknown form {form!r}")
+    warn_outside_envelope(knot.k, knot.n)
     x = dihedral_characters(knot)
     if x.size < 2:
         raise NonHyperbolicError(
@@ -462,6 +289,88 @@ def largest_fold(knot: KnotParam, form: str = "closed") -> Fold:
         om, x = om - h, x_new
         path.append((om, x))
     raise ContinuationAmbiguousError(f"{knot}: the real roots did not fold above omega = 0")
+
+
+# gamma of the path in ``riley_roots``: fixed, non-real and otherwise generic
+_HOMOTOPY_GAMMA = complex(0.7346, 1.2219)
+_HOMOTOPY_MAX_STEP = 0.2
+# below MIN_STEP: the path can pass within ~1e-7 of a double root of Phi (it
+# does for J(10,16) at omega = 2.9), and must then take steps near 1e-8
+_HOMOTOPY_MIN_STEP = 1e-9
+_HOMOTOPY_BUDGET = 4000  # steps tried, accepted or not
+
+
+def _nearest(x: np.ndarray) -> np.ndarray:
+    """Each point's distance to the nearest other point (inf if alone)."""
+    dist = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
+
+
+def riley_roots(knot: KnotParam, M: complex) -> np.ndarray:
+    """All k|n| - [n > 0] roots of Phi(M, .), tracked from the dihedral
+    characters (the roots at c2 = M^2 + M^-2 = -2) along c2(s) = -2 +
+    s (c2* + 2) + gamma s (1 - s), s in [0, 1].  A generic gamma keeps the
+    path off the finitely many c2 where Phi has a double root (the gamma
+    trick; Sommese & Wampler, The Numerical Solution of Systems of
+    Polynomials, 2005).  A step is accepted only if every root's Newton
+    correction is below 0.1 of its distance to the nearest other root, and
+    the result only if every relative Newton step |Phi/Phi'|/(1 + |z|) is at
+    most 1e-10.  Raises ContinuationAmbiguousError otherwise: a double root
+    at the target, as at a fold, stalls the step below its floor, and a
+    crowded path can run out the step budget."""
+    from .riley import _eval_parts, _phi_dphi, riley_phi_jet
+
+    M = complex(M)
+    if M == 0 or not np.isfinite(M):
+        raise ValueError(f"M must be finite and nonzero, got {M}")
+    warn_outside_envelope(knot.k, knot.n)
+    parts = _eval_parts(knot.k)
+    c2_end = M * M + 1.0 / (M * M)
+    span = c2_end + 2.0
+
+    def c2_at(s: float) -> complex:
+        return -2.0 + s * span + _HOMOTOPY_GAMMA * s * (1.0 - s)
+
+    def newton(c2, x, iters):
+        with np.errstate(all="ignore"):  # a failed step shows up as NaN
+            for _ in range(iters):
+                phi, dphi, _ = _phi_dphi(parts, knot.n, c2, x)
+                dx = phi / dphi
+                x = x - dx
+        return x, dx
+
+    z = dihedral_characters(knot).astype(complex)
+    s, h, slope = 0.0, _HOMOTOPY_MAX_STEP, None
+    last, curve = None, 0.0  # (s, slope) at the last point; d2z/ds2
+    for _ in range(_HOMOTOPY_BUDGET):
+        if slope is None:  # at a new point: dz/ds = -Phi_c2 c2'(s)/Phi_z
+            _, phi_z, _, phi_c, _ = riley_phi_jet(knot.k, knot.n, c2_at(s), z)
+            slope = -phi_c * (span + _HOMOTOPY_GAMMA * (1.0 - 2.0 * s)) / phi_z
+            if last is not None:
+                curve = (slope - last[1]) / (s - last[0])
+            last, room = (s, slope), _nearest(z)
+        s_new = min(s + h, 1.0)
+        pred = z + (s_new - s) * (slope + 0.5 * (s_new - s) * curve)
+        x, _ = newton(c2_at(s_new), pred, 4)
+        if np.all(np.abs(x - pred) < 0.1 * room):
+            s, z, slope = s_new, x, None
+            if s == 1.0:
+                break
+            h = min(2.0 * h, _HOMOTOPY_MAX_STEP)
+            continue
+        h *= 0.5
+        if h < _HOMOTOPY_MIN_STEP:
+            break
+    z, dz = newton(c2_end, z, 2)
+    rel = np.abs(dz) / (1.0 + np.abs(z))
+    if s == 1.0 and np.all(rel <= 1e-10) and np.all(np.abs(dz) < 0.1 * _nearest(z)):
+        return z
+    raise ContinuationAmbiguousError(
+        f"{knot} at M = {M.real:.15g},{M.imag:.15g}: no certified roots; the "
+        f"tracking reached s = {s:.9f} of 1, relative Newton step {rel.max():.1e} "
+        "(roots meet or crowd at or near the target)"
+    )
 
 
 def _track_down(

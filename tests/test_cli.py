@@ -53,6 +53,40 @@ def test_roots_command(runner):
     assert res.exit_code == 2  # needs --M or --omega
 
 
+def test_roots_exit_4_at_a_double_root(runner):
+    # the fig-8's two roots meet at omega = 2 pi/3: no certified set to print
+    res = runner.invoke(
+        main, ["roots", "-k", "2", "-n", "-1", "--omega", repr(2 * math.pi / 3)]
+    )
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert "M = 0.5" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "-k", "2", "-n", "-1", "--omega", "nan"],
+        ["roots", "-k", "2", "-n", "-1", "--omega", "inf"],
+        ["roots", "-k", "2", "-n", "-1", "--M", "nan,0"],
+        ["roots", "-k", "2", "-n", "-1", "--M", "1,x"],
+        ["riley", "-k", "2", "-n", "-1", "--M", "inf,0", "--zpoly"],
+        ["riley", "-k", "2", "-n", "-1", "-z", "0,nan"],
+        ["volume", "-k", "2", "-n", "-1", "--alpha", "nan"],
+        ["volume", "-k", "2", "-n", "-1", "--tol", "1e-13"],
+        ["volume", "-k", "2", "-n", "-1", "--tol", "nan"],
+        ["volume", "-k", "2", "-n", "-1", "--tol", "inf"],
+        ["curve", "-k", "4", "-n", "1", "--tol", "0", "-o", "c.csv"],
+        ["curve", "-k", "4", "-n", "1", "--alpha-min", "nan", "-o", "c.csv"],
+        ["curve", "-k", "4", "-n", "1", "--alpha-max", "inf", "-o", "c.csv"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_and_out_of_range_numbers_are_usage_errors(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2, res.output
+
+
 def test_volume_command_and_cache(runner):
     args = ["volume", "-k", "2", "-n", "-1", "--alpha", "0", "--tol", "1e-9"]
     res = runner.invoke(main, args)

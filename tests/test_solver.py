@@ -1,75 +1,95 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dtvol.riley import riley_phi_dphi_scalar
+from dtvol.riley import (
+    ConditioningWarning,
+    riley_phi_dphi,
+    riley_phi_dphi_scalar,
+    riley_zpoly,
+)
 from dtvol.solver import (
+    ContinuationAmbiguousError,
     NonHyperbolicError,
     geometric_branch,
     find_alpha_K,
     imcond_value,
-    max_backward_error,
     omega_to_M,
     phi_coeffs,
-    poly_roots,
+    riley_roots,
     roots_of_coeffs,
 )
 from dtvol.words import KnotParam
-from dtvol.zpoly import ZPoly
 
 FIG8 = KnotParam(2, -1)
 TWO_PI_3 = 2 * math.pi / 3
 
 
-def test_poly_roots_quadratic():
-    roots = sorted(poly_roots(ZPoly([3, -3, 1])), key=lambda z: z.imag)
-    assert roots[0] == pytest.approx((3 - math.sqrt(3) * 1j) / 2)
-    assert roots[1] == pytest.approx((3 + math.sqrt(3) * 1j) / 2)
+def _assert_certified(knot, M, z):
+    """The degree's count of roots, each a root to a relative Newton step
+    of 1e-10 on the structured evaluation, all distinct."""
+    assert z.size == knot.k * abs(knot.n) - (knot.n > 0)
+    phi, dphi, _ = riley_phi_dphi(knot.k, knot.n, M, z)
+    assert np.max(np.abs(phi / dphi) / (1.0 + np.abs(z))) <= 1e-10
+    gaps = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    assert np.min(gaps) > 0.0
 
 
-def test_poly_roots_linear_and_simple():
-    assert poly_roots(ZPoly([3, -1]))[0] == pytest.approx(3)
-    roots = sorted(poly_roots(ZPoly([-1, 0, 1])), key=lambda z: z.real)
-    assert roots[0] == pytest.approx(-1)
-    assert roots[1] == pytest.approx(1)
+# where the expanded-coefficient solve printed truncated or inaccurate sets;
+# J(10,16)'s path passes within ~1e-7 of a double root of Phi
+@pytest.mark.parametrize(
+    "kn, omega",
+    [
+        pytest.param(kn, om, id=f"{KnotParam(*kn)}-{om}")
+        for kn, om in [((2, 8), 0.1), ((2, 10), 0.1), ((19, -4), 0.1), ((13, 7), 0.1),
+                       ((19, 10), 2.9), ((10, 8), 2.9)]
+    ],
+)
+def test_riley_roots_certified_over_the_envelope(kn, omega):
+    knot, M = KnotParam(*kn), omega_to_M(omega)
+    z = riley_roots(knot, M)
+    _assert_certified(knot, M, z)
+    # Phi has real coefficients at real c2, so the set is conjugate-closed
+    assert max(np.min(np.abs(z - np.conj(w))) for w in z) <= 1e-9
 
 
-def test_poly_roots_rejects_degenerate():
-    with pytest.raises(ValueError):
-        poly_roots(ZPoly([0]))
-    with pytest.raises(ValueError):
-        poly_roots(ZPoly([5]))
+def test_riley_roots_trefoil():
+    # degree 1: Phi = 3 - z at M = 1, and the one character -1 at M = i
+    trefoil = KnotParam(2, 1)
+    assert riley_roots(trefoil, 1.0) == pytest.approx([3.0], abs=1e-14)
+    assert riley_roots(trefoil, 1j) == pytest.approx([-1.0], abs=1e-14)
 
 
-def test_poly_roots_matches_companion_matrix():
-    # the Aberth solver against numpy's companion-matrix eigenvalues
-    rng = np.random.default_rng(22)
-    for deg in (3, 5, 8, 13, 21, 34):
-        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        got = np.array(sorted(poly_roots(ZPoly(c)), key=lambda z: (z.real, z.imag)))
-        want = np.array(sorted(np.roots(c[::-1]), key=lambda z: (z.real, z.imag)))
-        assert np.max(np.abs(got - want)) < 1e-7
-        assert max_backward_error(c, got) < 1e-10
+@pytest.mark.parametrize("kn", [(4, 1), (7, 5)])
+@pytest.mark.parametrize("M", [0.7 + 0.4j, 1.3 - 0.2j])
+def test_riley_roots_off_the_unit_circle(kn, M):
+    knot = KnotParam(*kn)
+    z = riley_roots(knot, M)
+    _assert_certified(knot, M, z)
+    if knot.k * abs(knot.n) < 10:  # well-conditioned: the companion matrix agrees
+        want = roots_of_coeffs(riley_zpoly(knot.k, knot.n, M).coeffs)
+        assert np.max(np.min(np.abs(z[:, None] - want[None, :]), axis=1)) < 1e-10
 
 
-def test_poly_roots_backward_error_bound():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        deg = int(rng.integers(2, 40))
-        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        p = ZPoly(c)
-        roots = poly_roots(p)
-        assert len(roots) == p.degree
-        assert max_backward_error(p.coeffs, roots) <= 1e-10
+def test_riley_roots_raises_at_a_double_root():
+    # the fig-8's two roots meet at its fold, omega = 2 pi/3
+    with pytest.raises(ContinuationAmbiguousError, match="M = 0.5"):
+        riley_roots(FIG8, omega_to_M(TWO_PI_3))
 
 
-def test_roots_at_origin_peeled():
-    # z^2 (z - 2): exact zero constant terms
-    roots = sorted(poly_roots(ZPoly([0, 0, -2, 1])), key=lambda z: z.real)
-    assert roots[0] == pytest.approx(0)
-    assert roots[1] == pytest.approx(0)
-    assert roots[2] == pytest.approx(2)
+def test_envelope_warning_on_every_route():
+    inside, outside, M = KnotParam(9, 5), KnotParam(21, 1), omega_to_M(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        find_alpha_K(inside)
+        riley_roots(inside, M)
+    with pytest.warns(ConditioningWarning):
+        find_alpha_K(outside)
+    with pytest.warns(ConditioningWarning):
+        riley_roots(outside, M)
 
 
 def test_imcond_examples():
